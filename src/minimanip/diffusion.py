@@ -323,14 +323,14 @@ def sample_video(model, text_emb, pose_video, schedule, rng, as_uint8=True):
         pose = pose / 255.0
     m, f = pose.shape[0], pose.shape[1]
     v = rng.standard_normal((m, f, 64, 64, 3)).astype(np.float32)
-    feats = model.pose_features(pose)
-    feats = tuple(ft.detach() for ft in feats)
-    for i in range(schedule.T, 0, -1):
-        t_idx = np.full(m, i)
-        eps = model(v, t_idx, text_emb, feats, schedule.T).data
-        if not np.isfinite(eps).all():
-            raise RuntimeError(f"numerical divergence at step {i}")
-        v = reverse_step(v, i, eps, schedule, rng)
+    with nn.no_grad():
+        feats = model.pose_features(pose)
+        for i in range(schedule.T, 0, -1):
+            t_idx = np.full(m, i)
+            eps = model(v, t_idx, text_emb, feats, schedule.T).data
+            if not np.isfinite(eps).all():
+                raise RuntimeError(f"numerical divergence at step {i}")
+            v = reverse_step(v, i, eps, schedule, rng)
     v = np.clip(v, -1.0, 1.0)
     if not as_uint8:
         return v

@@ -81,40 +81,29 @@ class ActionDecoder(nn.Module):
         self.temporal = [nn.TransformerBlock(d, rng, dtype=dtype) for _ in range(temporal_blocks)]
         self.head = nn.Linear(2 * d, 3 * 256, rng, dtype=dtype)
 
-    def __call__(self, frames):
-        """frames (B, w, 64, 64, 3) float in [-1,1] -> logits (B, w-1, 3, 256)."""
+    def encode_frames(self, frames):
+        """frames (N, 64, 64, 3) float in [-1,1] -> per-frame embeddings (N, d)."""
         if isinstance(frames, np.ndarray):
             frames = nn.Tensor(frames)
-        b, w = frames.shape[0], frames.shape[1]
+        return self.encoder(frames)
+
+    def decode_windows(self, emb):
+        """Embeddings (B, w, d) of w consecutive frames -> logits (B, w-1, 3, 256)."""
+        b, w = emb.shape[0], emb.shape[1]
         if w != self.window:
             raise ValueError("window size mismatch")
-        emb = self.encoder(frames.reshape(b * w, 64, 64, 3)).reshape(b, w, self.d)
         h = emb + self.tpos
         for blk in self.temporal:
             h = blk(h)
-        pair = nn.concat([_slice_t(h, 0, w - 1), _slice_t(h, 1, w)], axis=2)
+        pair = nn.concat([nn.take(h, slice(0, w - 1)), nn.take(h, slice(1, w))], axis=2)
         logits = self.head(pair)
         return logits.reshape(b, w - 1, 3, 256)
 
-
-def _slice_t(x, lo, hi):
-    """Slice a (B, T, D) tensor along axis 1 with grad support."""
-    idx = (slice(None), slice(lo, hi))
-
-    def bwd(g):
-        gx = np.zeros(x.shape, dtype=g.dtype)
-        gx[idx] = g
-        x._accumulate(gx)
-
-    return nn._make(np.ascontiguousarray(x.data[idx]), (x,), bwd)
-
-
-def idm_forward(model, frames):
-    """Logits for the w-1 transitions of preprocessed frames."""
-    x = np.asarray(frames, dtype=np.float32)
-    if x.ndim == 4:
-        x = x[None]
-    return model(x).data
+    def __call__(self, frames):
+        """frames (B, w, 64, 64, 3) float in [-1,1] -> logits (B, w-1, 3, 256)."""
+        b, w = frames.shape[0], frames.shape[1]
+        emb = self.encode_frames(frames.reshape(b * w, 64, 64, 3)).reshape(b, w, self.d)
+        return self.decode_windows(emb)
 
 
 def idm_loss(logits, targets):
@@ -211,8 +200,9 @@ def train_idm(dataset, config=None, hook=None):
 def label_video(model, video, window=None):
     """Action sequence for a 36-frame video via overlapping-window averaging.
 
-    Normalized per-bin probabilities are averaged across every window that
-    covers a transition; ties break toward the lower bin index.
+    Each frame is encoded once and every window is decoded from the shared
+    embeddings. Normalized per-bin probabilities are averaged across every
+    window that covers a transition; ties break toward the lower bin index.
     """
     w = window or model.window
     frames = np.asarray(video)
@@ -221,8 +211,10 @@ def label_video(model, video, window=None):
     n = len(frames)
     edge = data.edge_extract_video(frames).astype(np.float32) / 127.5 - 1.0
     starts = np.arange(n - w + 1)
-    batch = np.stack([edge[k:k + w] for k in starts])
-    logits = model(batch).data  # (n_windows, w-1, 3, 256)
+    with nn.no_grad():
+        emb = model.encode_frames(edge).data  # (n, d)
+        windows = nn.Tensor(emb[starts[:, None] + np.arange(w)])
+        logits = model.decode_windows(windows).data  # (n_windows, w-1, 3, 256)
     z = logits - logits.max(axis=-1, keepdims=True)
     probs = np.exp(z)
     probs /= probs.sum(axis=-1, keepdims=True)
@@ -249,7 +241,8 @@ def binwise_accuracy(model, windows, tol=1):
     for lo in range(0, len(windows), bs):
         chunk = edge[lo:lo + bs]
         targets = np.stack([data.discretize(w.actions) for w in windows[lo:lo + bs]])
-        logits = model(chunk).data
+        with nn.no_grad():
+            logits = model(chunk).data
         pred = logits.argmax(axis=-1)
         hits += (np.abs(pred - targets) <= tol).sum(axis=(0, 1))
         total += targets.shape[0] * targets.shape[1]

@@ -1,12 +1,16 @@
 """Minimal reverse-mode autodiff on numpy, with just the ops the models need.
 
 Tensors wrap ndarrays and record a tape; backward() walks it in reverse
-topological order. Convolutions go through im2col + GEMM and recompute the
-column matrix in the backward pass instead of retaining it (it dwarfs the
-activations). Everything is deterministic given a seeded numpy Generator.
+topological order. Inference runs inside ``with no_grad():``, where ops
+record no tape: no parents, no backward closures, so the activations they
+would keep alive are freed as soon as the forward pass moves on.
+Convolutions are a sum of kh*kw shifted GEMMs, and the backward pass
+re-reads the padded input instead of retaining the shifted copies.
+Everything is deterministic given a seeded numpy Generator.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -33,9 +37,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def detach(self):
-        return Tensor(self.data)
 
     def _accumulate(self, g):
         # Stored by reference; backward fns that pass one array to two parents
@@ -119,8 +120,25 @@ def _unbroadcast(g, shape):
     return g
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within the block, ops build no tape and their results need no grad."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _make(data, parents, backward, requires_grad=None):
     out = Tensor(data)
+    if not _grad_enabled:
+        return out
     if requires_grad is None:
         requires_grad = any(p.requires_grad for p in parents)
     out.requires_grad = requires_grad
@@ -188,15 +206,6 @@ def relu(x):
     return _make(x.data * mask, (x,), bwd)
 
 
-def tanh(x):
-    y = np.tanh(x.data)
-
-    def bwd(g):
-        x._accumulate(g * (1.0 - y * y))
-
-    return _make(y, (x,), bwd)
-
-
 # -- shape --------------------------------------------------------------
 
 def reshape(x, shape):
@@ -230,6 +239,18 @@ def concat(xs, axis):
                 x._accumulate(np.ascontiguousarray(g[tuple(idx)]))
 
     return _make(np.concatenate([x.data for x in xs], axis=axis), tuple(xs), bwd)
+
+
+def take(x, index, axis=1):
+    """Index x along `axis` by an int (which drops the axis) or a slice."""
+    idx = (slice(None),) * axis + (index,)
+
+    def bwd(g):
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        gx[idx] = g
+        x._accumulate(gx)
+
+    return _make(np.ascontiguousarray(x.data[idx]), (x,), bwd)
 
 
 # -- reductions ---------------------------------------------------------

@@ -74,7 +74,8 @@ class VariantClassifier(nn.Module):
     def predict_video(self, video):
         """Most likely task id for a uint8 video, frame logits averaged."""
         x = data.to_unit(video)
-        logits = self(x).data.mean(axis=0)
+        with nn.no_grad():
+            logits = self(x).data.mean(axis=0)
         return env.TASK_IDS[int(np.argmax(logits))]
 
 

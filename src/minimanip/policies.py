@@ -7,6 +7,7 @@ subsampled rate of generated demonstrations). Both emit 3 x 256 bin logits.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,7 @@ class SingleFramePolicy(nn.Module):
         h = nn.concat([ptok, tokens], axis=1)
         for blk in self.blocks:
             h = blk(h)
-        pooled = _take_first(h)  # the prompt token acts as a task-conditioned query
+        pooled = nn.take(h, 0)  # the prompt token acts as a task-conditioned query
         return self.head(pooled).reshape(b, 3, 256)
 
 
@@ -60,40 +61,28 @@ class HistoryPolicy(nn.Module):
         self.blocks = [nn.TransformerBlock(d, rng, causal=True, dtype=dtype) for _ in range(blocks)]
         self.head = nn.Linear(d, 3 * 256, rng, dtype=dtype)
 
-    def __call__(self, frames, prompt_emb):
-        """frames (B, k, 64, 64, 3) oldest-first in [-1,1] -> (B, 3, 256)."""
+    def encode(self, frames):
+        """frames (N, 64, 64, 3) in [-1,1] -> per-frame embeddings (N, d)."""
         if isinstance(frames, np.ndarray):
             frames = nn.Tensor(frames.astype(np.float32, copy=False))
-        b, k = frames.shape[0], frames.shape[1]
+        return self.encoder(frames)
+
+    def decode(self, emb, prompt_emb):
+        """emb (B, k, d) of the last k frames, oldest first -> (B, 3, 256)."""
+        b, k = emb.shape[0], emb.shape[1]
         if k != self.history:
             raise ValueError("history length mismatch")
-        emb = self.encoder(frames.reshape(b * k, 64, 64, 3)).reshape(b, k, self.d)
         ptok = self.prompt_fc(nn.Tensor(np.asarray(prompt_emb, dtype=np.float32))).reshape(b, 1, self.d)
         h = nn.concat([ptok, emb], axis=1) + self.tpos
         for blk in self.blocks:
             h = blk(h)
-        last = _take_last(h)
-        return self.head(last).reshape(b, 3, 256)
+        return self.head(nn.take(h, -1)).reshape(b, 3, 256)
 
-
-def _take_last(x):
-    """Last token of (B, T, D) with grad support."""
-    def bwd(g):
-        gx = np.zeros(x.shape, dtype=g.dtype)
-        gx[:, -1] = g
-        x._accumulate(gx)
-
-    return nn._make(np.ascontiguousarray(x.data[:, -1]), (x,), bwd)
-
-
-def _take_first(x):
-    """First token of (B, T, D) with grad support."""
-    def bwd(g):
-        gx = np.zeros(x.shape, dtype=g.dtype)
-        gx[:, 0] = g
-        x._accumulate(gx)
-
-    return nn._make(np.ascontiguousarray(x.data[:, 0]), (x,), bwd)
+    def __call__(self, frames, prompt_emb):
+        """frames (B, k, 64, 64, 3) oldest-first in [-1,1] -> (B, 3, 256)."""
+        b, k = frames.shape[0], frames.shape[1]
+        emb = self.encode(frames.reshape(b * k, 64, 64, 3)).reshape(b, k, self.d)
+        return self.decode(emb, prompt_emb)
 
 
 def make_policy(arch, rng=None, **kw):
@@ -102,16 +91,6 @@ def make_policy(arch, rng=None, **kw):
     if arch == "rt1":
         return HistoryPolicy(rng, **kw)
     raise ValueError(f"unknown architecture: {arch!r}")
-
-
-def policy_forward(model, observation, prompt_emb):
-    """Finite (3, 256) logits for one observation (frame or frame history)."""
-    obs = np.asarray(observation, dtype=np.float32)
-    want = 3 if model.arch == "lcbc" else 4
-    if obs.ndim == want:
-        obs = obs[None]
-    out = model(obs, np.atleast_2d(prompt_emb)).data
-    return out[0] if out.shape[0] == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -274,36 +253,37 @@ def rollout_many(model, task_seed_pairs, max_steps=env.MAX_STEPS, prompt_embs=No
                 cache[tid] = prompts.embed_prompt(prompts.task_prompt(tid))
             embs.append(cache[tid])
         prompt_embs = np.stack(embs)
-    states, frames, hist = [], [], []
-    k = getattr(model, "history", HISTORY)
+    states, frames = [], []
     for tid, seed in task_seed_pairs:
         s, f = env.reset(tid, seed)
         states.append(s)
         frames.append(f)
-        hist.append([f] * (k * HISTORY_STRIDE))
+    rings = {}  # rt1: episode -> embeddings of its recent frames, newest last
     done = np.zeros(n, dtype=bool)
     for _ in range(max_steps):
         live = np.flatnonzero(~done)
         if len(live) == 0:
             break
-        if model.arch == "lcbc":
-            obs = np.stack([frames[i] for i in live]).astype(np.float32)
-        else:
-            obs = np.empty((len(live), k, 64, 64, 3), dtype=np.float32)
-            for bi, i in enumerate(live):
-                buf = hist[i]
-                obs[bi] = np.stack([buf[-1 - HISTORY_STRIDE * j] for j in range(k - 1, -1, -1)])
-        obs = obs / 127.5 - 1.0
-        logits = model(obs, prompt_embs[live]).data
+        obs = np.stack([frames[i] for i in live]).astype(np.float32) / 127.5 - 1.0
+        with nn.no_grad():
+            if model.arch == "lcbc":
+                logits = model(obs, prompt_embs[live]).data
+            else:
+                k = model.history
+                span = HISTORY_STRIDE * (k - 1) + 1  # the oldest history frame is ring[-span]
+                for i, e in zip(live, model.encode(obs).data):
+                    if i in rings:
+                        rings[i].append(e)
+                    else:  # the reset frame pads the history until enough steps exist
+                        rings[i] = deque([e] * span, maxlen=span)
+                hist = np.stack([[rings[i][-1 - HISTORY_STRIDE * j] for j in range(k - 1, -1, -1)]
+                                 for i in live])
+                logits = model.decode(nn.Tensor(hist), prompt_embs[live]).data
         bins = logits.argmax(axis=-1)
         acts = data.undiscretize(bins)
         for bi, i in enumerate(live):
             s, f, suc = env.step(states[i], acts[bi])
             states[i], frames[i] = s, f
-            buf = hist[i]
-            buf.append(f)
-            if len(buf) > (k + 1) * HISTORY_STRIDE:
-                del buf[0]
             if suc:
                 done[i] = True
     return done

@@ -12,22 +12,22 @@ def tiny_model():
 
 def test_forward_shape(tiny_model):
     x = np.zeros((2, 12, 64, 64, 3), dtype=np.float32)
-    out = idm.idm_forward(tiny_model, x)
+    out = tiny_model(x).data
     assert out.shape == (2, 11, 3, 256)
     assert np.isfinite(out).all()
 
 
 def test_window_size_mismatch(tiny_model):
     with pytest.raises(ValueError, match="window size mismatch"):
-        idm.idm_forward(tiny_model, np.zeros((1, 10, 64, 64, 3), dtype=np.float32))
+        tiny_model(np.zeros((1, 10, 64, 64, 3), dtype=np.float32))
 
 
 def test_permuting_frames_changes_logits(tiny_model):
     rng = np.random.default_rng(1)
     x = rng.random((1, 12, 64, 64, 3)).astype(np.float32)
-    out1 = idm.idm_forward(tiny_model, x)
+    out1 = tiny_model(x).data
     perm = x[:, ::-1].copy()
-    out2 = idm.idm_forward(tiny_model, perm)
+    out2 = tiny_model(perm).data
     assert not np.allclose(out1, out2)
 
 
@@ -95,8 +95,11 @@ class _ConstantLogitModel:
     def __init__(self, peak_bins):
         self.peak = peak_bins
 
-    def __call__(self, frames):
-        b, w = frames.shape[0], frames.shape[1]
+    def encode_frames(self, frames):
+        return nn.Tensor(np.zeros((frames.shape[0], 1), dtype=np.float32))
+
+    def decode_windows(self, emb):
+        b, w = emb.shape[0], emb.shape[1]
         logits = np.zeros((b, w - 1, 3, 256), dtype=np.float32)
         for d in range(3):
             logits[:, :, d, self.peak[d]] = 9.0
@@ -111,6 +114,25 @@ def test_label_video_consensus():
     # identical window distributions -> identical actions at every transition
     assert np.allclose(acts, acts[0])
     assert np.allclose(acts[0], data.undiscretize(np.array([40, 128, 250])))
+
+
+def test_label_video_matches_windowed_model(tiny_model):
+    # reference: run the model on all 25 windows, average each transition's
+    # bin probabilities over the windows covering it, take the argmax. Noise
+    # frames keep the embeddings apart, so a mis-sliced window moves labels.
+    video = np.random.default_rng(2).integers(0, 256, size=(36, 64, 64, 3), dtype=np.uint8)
+    n, w = len(video), tiny_model.window
+    edge = data.edge_extract_video(video).astype(np.float32) / 127.5 - 1.0
+    logits = tiny_model(np.stack([edge[k:k + w] for k in range(n - w + 1)])).data
+    probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    acc = np.zeros((n - 1, 3, 256))
+    count = np.zeros(n - 1)
+    for k in range(n - w + 1):
+        acc[k:k + w - 1] += probs[k]
+        count[k:k + w - 1] += 1
+    want = data.undiscretize((acc / count[:, None, None]).argmax(axis=-1))
+    assert np.array_equal(idm.label_video(tiny_model, video), want)
 
 
 def test_label_video_too_short(tiny_model):

@@ -65,6 +65,12 @@ def test_conv2d_weight_grad():
     assert rel < 1e-6
 
 
+@pytest.mark.parametrize("index", [0, -1, slice(1, 3)])
+def test_take_grad(index):
+    rng = np.random.default_rng(10)
+    _gradcheck_input(lambda x: nn.mse(nn.take(x, index), 0.3), rng.normal(size=(2, 4, 3)))
+
+
 def test_upsample_and_silu_grad():
     rng = np.random.default_rng(6)
     _gradcheck_input(lambda x: nn.mse(nn.upsample2x(nn.silu(x)), 0.2),
@@ -114,3 +120,47 @@ def test_grad_accumulation_two_uses():
     loss = nn.sum_(y)
     loss.backward()
     assert np.allclose(x.grad, [2.0, 2.0])
+
+
+def test_no_grad_records_no_tape():
+    rng = np.random.default_rng(11)
+    lin = nn.Linear(3, 2, rng, dtype=np.float64)
+    with nn.no_grad():
+        y = nn.relu(lin(nn.Tensor(rng.normal(size=(4, 3)))))
+        z = lin.w * 2.0
+    for t in (y, z):
+        assert t._backward is None
+        assert t._parents == ()
+        assert not t.requires_grad
+
+
+def test_no_grad_restores_flag():
+    w = nn.Param(np.ones(2))
+    with pytest.raises(RuntimeError, match="boom"):
+        with nn.no_grad():
+            raise RuntimeError("boom")
+    assert (w * 2.0).requires_grad
+    with nn.no_grad():
+        with nn.no_grad():
+            pass
+        assert not (w * 2.0).requires_grad  # leaving the inner block keeps the outer one
+    assert (w * 2.0).requires_grad
+
+
+def test_backward_after_no_grad_inference():
+    rng = np.random.default_rng(12)
+    lin = nn.Linear(3, 2, rng, dtype=np.float64)
+    x = rng.normal(size=(4, 3))
+
+    def grads():
+        lin.zero_grad()
+        nn.mse(lin(nn.Tensor(x)), 0.5).backward()
+        return {k: p.grad.copy() for k, p in lin.params().items()}
+
+    before = grads()
+    with nn.no_grad():
+        lin(nn.Tensor(x))
+    after = grads()
+    assert set(after) == {"w", "b"}
+    for k in before:
+        assert np.array_equal(before[k], after[k])

@@ -14,7 +14,7 @@ def test_forward_shapes():
     for arch, obs in (("lcbc", np.zeros((64, 64, 3), np.float32)),
                       ("rt1", np.zeros((6, 64, 64, 3), np.float32))):
         m = policies.make_policy(arch, np.random.default_rng(0), d=32, blocks=1)
-        out = policies.policy_forward(m, obs, np.zeros(32))
+        out = m(obs[None], np.zeros((1, 32))).data[0]
         assert out.shape == (3, 256)
         assert np.isfinite(out).all()
 
@@ -22,7 +22,7 @@ def test_forward_shapes():
 def test_history_length_mismatch():
     m = policies.make_policy("rt1", np.random.default_rng(0), d=32, blocks=1)
     with pytest.raises(ValueError, match="history length mismatch"):
-        policies.policy_forward(m, np.zeros((4, 64, 64, 3), np.float32), np.zeros(32))
+        m(np.zeros((1, 4, 64, 64, 3), np.float32), np.zeros((1, 32)))
 
 
 def test_unknown_arch():
@@ -61,7 +61,7 @@ def test_bc_loss_continuous_nonneg_iff_zero():
 def test_greedy_invariant_to_constant_shift():
     m = policies.make_policy("lcbc", np.random.default_rng(0), d=32, blocks=1)
     obs = np.random.default_rng(1).random((64, 64, 3)).astype(np.float32)
-    logits = policies.policy_forward(m, obs, np.zeros(32))
+    logits = m(obs[None], np.zeros((1, 32))).data[0]
     shifted = logits + 7.5
     assert np.array_equal(logits.argmax(-1), shifted.argmax(-1))
 
@@ -113,6 +113,52 @@ def test_rollout_rate_reproducible():
     r2 = policies.rollout_eval(m, "reach", episodes=5, seed=2)
     assert r1 == r2
     assert 0.0 <= r1 <= 1.0
+
+
+def test_rt1_rollout_matches_frame_history(monkeypatch):
+    # the embedding ring must hand the decoder the embeddings of the stride-3
+    # history of raw frames (reset frame repeated at the start), and the
+    # rollout must take the actions the model gives on that frame history
+    m = policies.make_policy("rt1", np.random.default_rng(0), d=32, blocks=1)
+    pairs = [("door-open", 0), ("push", 2)]
+    calls, histories = [], []
+    step, decode = env.step, m.decode
+
+    def recording_step(state, action):
+        out = step(state, action)
+        calls.append((np.array(action), out[1], out[2]))
+        return out
+
+    def recording_decode(emb, prompt_emb):
+        histories.append(emb.data.copy())
+        return decode(emb, prompt_emb)
+
+    monkeypatch.setattr(policies.env, "step", recording_step)
+    monkeypatch.setattr(m, "decode", recording_decode)
+    max_steps = 18  # past the ring's length, so old embeddings get evicted
+    policies.rollout_many(m, pairs, max_steps=max_steps)
+    monkeypatch.undo()
+
+    seen = [[env.reset(tid, seed)[1]] for tid, seed in pairs]
+    live = list(range(len(pairs)))
+    prompt = np.stack([prompts.embed_prompt(prompts.task_prompt(tid)) for tid, _ in pairs])
+    pos = 0
+    for t in range(max_steps):
+        if not live:
+            break
+        idx = policies._history_indices(t, m.history, policies.HISTORY_STRIDE, t + 1)
+        hist = np.stack([np.stack(seen[i])[idx] for i in live]).astype(np.float32) / 127.5 - 1.0
+        emb = m.encode(hist.reshape(-1, 64, 64, 3)).data.reshape(len(live), m.history, m.d)
+        assert np.allclose(histories[t], emb, rtol=0.0, atol=1e-5), t
+        want = data.undiscretize(m(hist, prompt[live]).data.argmax(axis=-1))
+        for bi, i in enumerate(list(live)):
+            action, frame, success = calls[pos]
+            pos += 1
+            assert np.array_equal(action, want[bi]), (t, i)
+            seen[i].append(frame)
+            if success:
+                live.remove(i)
+    assert pos == len(calls) > 0
 
 
 class _ExpertPolicy:
