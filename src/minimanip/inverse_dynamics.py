@@ -61,7 +61,9 @@ class FrameEncoder(nn.Module):
         self.blocks = [nn.TransformerBlock(d, rng, dtype=dtype) for _ in range(blocks)]
 
     def __call__(self, frames):
-        """frames (N, 64, 64, 3) -> (N, d)."""
+        """frames (N, 64, 64, 3), Tensor or ndarray -> (N, d)."""
+        if isinstance(frames, np.ndarray):
+            frames = nn.Tensor(frames)
         h = self.stem(frames)
         for blk in self.blocks:
             h = blk(h)
@@ -81,14 +83,8 @@ class ActionDecoder(nn.Module):
         self.temporal = [nn.TransformerBlock(d, rng, dtype=dtype) for _ in range(temporal_blocks)]
         self.head = nn.Linear(2 * d, 3 * 256, rng, dtype=dtype)
 
-    def encode_frames(self, frames):
-        """frames (N, 64, 64, 3) float in [-1,1] -> per-frame embeddings (N, d)."""
-        if isinstance(frames, np.ndarray):
-            frames = nn.Tensor(frames)
-        return self.encoder(frames)
-
-    def decode_windows(self, emb):
-        """Embeddings (B, w, d) of w consecutive frames -> logits (B, w-1, 3, 256)."""
+    def decode(self, emb):
+        """Encoder embeddings (B, w, d) of w consecutive frames -> logits (B, w-1, 3, 256)."""
         b, w = emb.shape[0], emb.shape[1]
         if w != self.window:
             raise ValueError("window size mismatch")
@@ -102,8 +98,8 @@ class ActionDecoder(nn.Module):
     def __call__(self, frames):
         """frames (B, w, 64, 64, 3) float in [-1,1] -> logits (B, w-1, 3, 256)."""
         b, w = frames.shape[0], frames.shape[1]
-        emb = self.encode_frames(frames.reshape(b * w, 64, 64, 3)).reshape(b, w, self.d)
-        return self.decode_windows(emb)
+        emb = self.encoder(frames.reshape(b * w, 64, 64, 3)).reshape(b, w, self.d)
+        return self.decode(emb)
 
 
 def idm_loss(logits, targets):
@@ -212,9 +208,9 @@ def label_video(model, video, window=None):
     edge = data.edge_extract_video(frames).astype(np.float32) / 127.5 - 1.0
     starts = np.arange(n - w + 1)
     with nn.no_grad():
-        emb = model.encode_frames(edge).data  # (n, d)
+        emb = model.encoder(edge).data  # (n, d)
         windows = nn.Tensor(emb[starts[:, None] + np.arange(w)])
-        logits = model.decode_windows(windows).data  # (n_windows, w-1, 3, 256)
+        logits = model.decode(windows).data  # (n_windows, w-1, 3, 256)
     z = logits - logits.max(axis=-1, keepdims=True)
     probs = np.exp(z)
     probs /= probs.sum(axis=-1, keepdims=True)

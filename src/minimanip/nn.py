@@ -241,9 +241,9 @@ def concat(xs, axis):
     return _make(np.concatenate([x.data for x in xs], axis=axis), tuple(xs), bwd)
 
 
-def take(x, index, axis=1):
-    """Index x along `axis` by an int (which drops the axis) or a slice."""
-    idx = (slice(None),) * axis + (index,)
+def take(x, index):
+    """Index x along axis 1 by an int (which drops the axis) or a slice."""
+    idx = (slice(None), index)
 
     def bwd(g):
         gx = np.zeros(x.shape, dtype=g.dtype)

@@ -61,14 +61,8 @@ class HistoryPolicy(nn.Module):
         self.blocks = [nn.TransformerBlock(d, rng, causal=True, dtype=dtype) for _ in range(blocks)]
         self.head = nn.Linear(d, 3 * 256, rng, dtype=dtype)
 
-    def encode(self, frames):
-        """frames (N, 64, 64, 3) in [-1,1] -> per-frame embeddings (N, d)."""
-        if isinstance(frames, np.ndarray):
-            frames = nn.Tensor(frames.astype(np.float32, copy=False))
-        return self.encoder(frames)
-
     def decode(self, emb, prompt_emb):
-        """emb (B, k, d) of the last k frames, oldest first -> (B, 3, 256)."""
+        """Encoder embeddings (B, k, d) of the last k frames, oldest first -> (B, 3, 256)."""
         b, k = emb.shape[0], emb.shape[1]
         if k != self.history:
             raise ValueError("history length mismatch")
@@ -80,8 +74,10 @@ class HistoryPolicy(nn.Module):
 
     def __call__(self, frames, prompt_emb):
         """frames (B, k, 64, 64, 3) oldest-first in [-1,1] -> (B, 3, 256)."""
+        if isinstance(frames, np.ndarray):
+            frames = nn.Tensor(frames.astype(np.float32, copy=False))
         b, k = frames.shape[0], frames.shape[1]
-        emb = self.encode(frames.reshape(b * k, 64, 64, 3)).reshape(b, k, self.d)
+        emb = self.encoder(frames.reshape(b * k, 64, 64, 3)).reshape(b, k, self.d)
         return self.decode(emb, prompt_emb)
 
 
@@ -271,7 +267,7 @@ def rollout_many(model, task_seed_pairs, max_steps=env.MAX_STEPS, prompt_embs=No
             else:
                 k = model.history
                 span = HISTORY_STRIDE * (k - 1) + 1  # the oldest history frame is ring[-span]
-                for i, e in zip(live, model.encode(obs).data):
+                for i, e in zip(live, model.encoder(obs).data):
                     if i in rings:
                         rings[i].append(e)
                     else:  # the reset frame pads the history until enough steps exist

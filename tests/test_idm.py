@@ -95,10 +95,10 @@ class _ConstantLogitModel:
     def __init__(self, peak_bins):
         self.peak = peak_bins
 
-    def encode_frames(self, frames):
+    def encoder(self, frames):
         return nn.Tensor(np.zeros((frames.shape[0], 1), dtype=np.float32))
 
-    def decode_windows(self, emb):
+    def decode(self, emb):
         b, w = emb.shape[0], emb.shape[1]
         logits = np.zeros((b, w - 1, 3, 256), dtype=np.float32)
         for d in range(3):

@@ -148,7 +148,7 @@ def test_rt1_rollout_matches_frame_history(monkeypatch):
             break
         idx = policies._history_indices(t, m.history, policies.HISTORY_STRIDE, t + 1)
         hist = np.stack([np.stack(seen[i])[idx] for i in live]).astype(np.float32) / 127.5 - 1.0
-        emb = m.encode(hist.reshape(-1, 64, 64, 3)).data.reshape(len(live), m.history, m.d)
+        emb = m.encoder(hist.reshape(-1, 64, 64, 3)).data.reshape(len(live), m.history, m.d)
         assert np.allclose(histories[t], emb, rtol=0.0, atol=1e-5), t
         want = data.undiscretize(m(hist, prompt[live]).data.argmax(axis=-1))
         for bi, i in enumerate(list(live)):
