@@ -141,38 +141,48 @@ def _cmd_eval(args):
     print(f"{args.task}: accomplishment rate {rate:.3f} over {args.episodes} episodes")
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _parse_config_file(path):
     out = {}
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise SystemExit(f"{path}:{lineno}: expected key=value, got {line!r}")
             k, v = line.split("=", 1)
             out[k.strip()] = v.strip()
     return out
+
+
+def _config_value(key, typ, v):
+    """Parse one config value by its CrossvalConfig field type."""
+    try:
+        if typ == "int":
+            return int(v)
+        if typ == "float":
+            return float(v)
+        if typ == "bool":
+            return _BOOLS[v.lower()]
+    except (KeyError, ValueError):
+        raise SystemExit(f"config key {key}: {v!r} is not a valid {typ}") from None
+    if typ == "tuple":
+        return tuple(int(x) if x.isdigit() else x for x in v.split(","))
+    return v
 
 
 def _cmd_crossval(args):
     from . import pipeline
     kw = {}
     if args.config:
-        raw = _parse_config_file(args.config)
         fields = pipeline.CrossvalConfig.__dataclass_fields__
-        for k, v in raw.items():
+        for k, v in _parse_config_file(args.config).items():
             if k not in fields:
                 raise SystemExit(f"unknown config key: {k}")
-            typ = fields[k].type
-            if typ == "int":
-                kw[k] = int(v)
-            elif typ == "float":
-                kw[k] = float(v)
-            elif typ == "bool":
-                kw[k] = v.lower() in ("1", "true", "yes")
-            elif typ == "tuple":
-                kw[k] = tuple(int(x) if x.isdigit() else x for x in v.split(","))
-            else:
-                kw[k] = v
+            kw[k] = _config_value(k, fields[k].type, v)
     cfg = pipeline.CrossvalConfig(**kw)
     reports, quality = pipeline.run_crossval(cfg, out_dir=args.out)
     print(pipeline.summarize(reports))

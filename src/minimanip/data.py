@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import env
+from .storage import read_exact
 
 FRAMES_MAGIC = b"MMTRJ1\x00\x00"
 ACTIONS_MAGIC = b"MMACT1\x00\x00"
@@ -35,14 +36,6 @@ class Trajectory:
     def __post_init__(self):
         if len(self.frames) != len(self.actions) + 1:
             raise ValueError("trajectory needs len(frames) == len(actions) + 1")
-
-
-@dataclass
-class WindowSample:
-    frames: np.ndarray      # (w, 64, 64, 3) uint8
-    actions: np.ndarray     # (w-1, 3) float32
-    source: str             # "<task_id>/<seed>"
-    start: int
 
 
 @dataclass
@@ -140,24 +133,17 @@ def save_trajectory(traj, dirpath):
     lines.extend(f"{k}={v}" for k, v in _layout_items(traj.layout))
     with open(os.path.join(dirpath, "manifest.txt"), "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
-    n, h, w, c = traj.frames.shape
-    with open(os.path.join(dirpath, "frames.bin"), "wb") as f:
-        f.write(FRAMES_MAGIC)
-        f.write(np.asarray([n, h, w, c], dtype="<u4").tobytes())
-        f.write(np.ascontiguousarray(traj.frames, dtype=np.uint8).tobytes())
-    with open(os.path.join(dirpath, "actions.bin"), "wb") as f:
-        f.write(ACTIONS_MAGIC)
-        f.write(np.asarray([len(traj.actions)], dtype="<u4").tobytes())
-        f.write(np.ascontiguousarray(traj.actions, dtype="<f4").tobytes())
+    save_frames_bin(os.path.join(dirpath, "frames.bin"), traj.frames)
+    save_actions_bin(os.path.join(dirpath, "actions.bin"), traj.actions)
 
 
 def load_frames_bin(path):
     with open(path, "rb") as f:
         if f.read(8) != FRAMES_MAGIC:
             raise ValueError(f"bad magic in {path}")
-        n, h, w, c = np.frombuffer(f.read(16), dtype="<u4")
-        data = np.frombuffer(f.read(int(n) * int(h) * int(w) * int(c)), dtype=np.uint8)
-    return data.reshape(int(n), int(h), int(w), int(c)).copy()
+        n, h, w, c = (int(v) for v in np.frombuffer(read_exact(f, 16, path), dtype="<u4"))
+        data = np.frombuffer(read_exact(f, n * h * w * c, path), dtype=np.uint8)
+    return data.reshape(n, h, w, c).copy()
 
 
 def save_frames_bin(path, frames):
@@ -173,8 +159,8 @@ def load_actions_bin(path):
     with open(path, "rb") as f:
         if f.read(8) != ACTIONS_MAGIC:
             raise ValueError(f"bad magic in {path}")
-        n = int(np.frombuffer(f.read(4), dtype="<u4")[0])
-        data = np.frombuffer(f.read(n * 12), dtype="<f4")
+        n = int(np.frombuffer(read_exact(f, 4, path), dtype="<u4")[0])
+        data = np.frombuffer(read_exact(f, n * 12, path), dtype="<f4")
     return data.reshape(n, 3).copy()
 
 
@@ -296,16 +282,20 @@ def edge_extract_video(frames):
     return np.stack([edge_extract(f) for f in np.asarray(frames)])
 
 
-def inject_noise(frame, sigma=10.0, rng=None):
-    """Add per-channel Gaussian pixel noise, clamp to [0, 255], round."""
+def inject_noise(frames, sigma=10.0, rng=None):
+    """Pixels plus per-channel Gaussian noise, clamped to [0, 255], as float32.
+
+    The output is not rounded, so it keeps sub-pixel noise. With sigma 0 it
+    is a float32 copy of the input and nothing is drawn from rng.
+    """
     if sigma < 0:
         raise ValueError("invalid sigma")
-    frame = np.asarray(frame)
-    if sigma == 0:
-        return frame.copy()
-    rng = rng if rng is not None else np.random.default_rng()
-    noisy = frame.astype(np.float32) + rng.normal(0.0, sigma, size=frame.shape)
-    return np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
+    out = np.array(frames, dtype=np.float32)
+    if sigma > 0:
+        rng = rng if rng is not None else np.random.default_rng()
+        out += rng.normal(0.0, sigma, size=out.shape).astype(np.float32)
+        np.clip(out, 0.0, 255.0, out=out)
+    return out
 
 
 def to_unit(frames):
@@ -343,21 +333,8 @@ def subsampled_pose_track(traj, skip=SKIP, length=VIDEO_FRAMES):
 
 
 # ---------------------------------------------------------------------------
-# Windows and discretization
+# Discretization
 # ---------------------------------------------------------------------------
-
-def make_windows(traj, w=WINDOW):
-    """All stride-1 windows of w frames and their w-1 actions."""
-    if w < 2:
-        raise ValueError("window size must be >= 2")
-    if len(traj.frames) < w:
-        raise ValueError("trajectory too short")
-    src = f"{traj.task_id}/{traj.seed}"
-    return [
-        WindowSample(frames=traj.frames[k:k + w], actions=traj.actions[k:k + w - 1], source=src, start=k)
-        for k in range(len(traj.frames) - w + 1)
-    ]
-
 
 def discretize(a):
     """Per-dimension 256-bin index: floor((x+1)/2 * 256), clamped."""

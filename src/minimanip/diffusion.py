@@ -63,22 +63,19 @@ def build_schedule(T, kind="cosine"):
                          alpha_bar=np.cumprod(alphas))
 
 
-def forward_diffuse(v0, i, noise, schedule):
-    """Closed-form marginal sample at step i: sqrt(ab_i) v0 + sqrt(1-ab_i) eps."""
-    if not (1 <= i <= schedule.T):
+def forward_diffuse(v0, t_idx, noise, schedule):
+    """Closed-form marginal sample: sqrt(ab_t) v0 + sqrt(1-ab_t) eps.
+
+    t_idx is a timestep in 1..T or an array of them, one per leading row of
+    v0 (a batch of videos). alpha_bar_t is cast to float32 and reshaped to
+    broadcast over the remaining axes, so float32 inputs stay float32.
+    """
+    t_idx = np.asarray(t_idx)
+    if np.any(t_idx < 1) or np.any(t_idx > schedule.T):
         raise ValueError("invalid timestep")
-    ab = schedule.bar(i)
-    return math.sqrt(ab) * v0 + math.sqrt(1.0 - ab) * noise
-
-
-def dvg_loss(noise, predicted):
-    """Mean squared error between true and predicted noise."""
-    noise = np.asarray(noise)
-    predicted = np.asarray(predicted)
-    if noise.shape != predicted.shape:
-        raise ValueError("shape mismatch")
-    d = predicted - noise
-    return float(np.mean(d * d))
+    ab = schedule.alpha_bar[t_idx - 1].astype(np.float32)
+    ab = ab.reshape(ab.shape + (1,) * (np.ndim(v0) - ab.ndim))
+    return np.sqrt(ab) * v0 + np.sqrt(1.0 - ab) * noise
 
 
 def reverse_step(vi, i, eps_hat, schedule, rng):
@@ -292,8 +289,7 @@ def train_dvg(dataset, config=None, model=None, hook=None):
         v0 = videos[idx]
         t_idx = rng.integers(1, cfg.T + 1, size=len(idx))
         eps = rng.standard_normal(v0.shape).astype(np.float32)
-        ab = sched.alpha_bar[t_idx - 1].astype(np.float32).reshape(-1, 1, 1, 1, 1)
-        v_t = np.sqrt(ab) * v0 + np.sqrt(1.0 - ab) * eps
+        v_t = forward_diffuse(v0, t_idx, eps, sched)
         feats = model.pose_features(pose[idx])
         pred = model(v_t, t_idx, text[idx], feats, sched.T)
         loss = nn.mse(pred, eps)

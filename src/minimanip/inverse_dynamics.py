@@ -131,8 +131,13 @@ def pack_video_windows(trajectories, window=data.WINDOW):
     """Edge-extract subsampled videos once; index all stride-1 windows.
 
     Returns (edge videos u8 (N, 36, 64, 64, 3), bin targets (N, 35, 3),
-    window index pairs (video, start)).
+    window index pairs (video, start)). Training and evaluation both take
+    this triple.
     """
+    if not trajectories:
+        raise ValueError("empty dataset")
+    if window > data.VIDEO_FRAMES:
+        raise ValueError("video too short")
     vids, targets, index = [], [], []
     for traj in trajectories:
         sub = data.subsample_trajectory(traj)
@@ -144,20 +149,10 @@ def pack_video_windows(trajectories, window=data.WINDOW):
     return np.stack(vids), np.stack(targets), np.asarray(index)
 
 
-def train_idm(dataset, config=None, hook=None):
-    """Train on WindowSamples or on a packed (videos, targets, index) triple."""
+def train_idm(packed, config=None, hook=None):
+    """Train on a pack_video_windows (videos, targets, index) triple."""
     cfg = config or IdmConfig()
-    if isinstance(dataset, tuple):
-        vids, targets, index = dataset
-    else:
-        if not dataset:
-            raise ValueError("empty dataset")
-        frames = np.stack([w.frames for w in dataset])
-        vids = np.stack([data.edge_extract_video(f) for f in frames])
-        targets = np.stack([data.discretize(w.actions) for w in dataset])
-        index = np.asarray([(i, 0) for i in range(len(dataset))])
-    if len(index) == 0:
-        raise ValueError("empty dataset")
+    vids, targets, index = packed
     rng = np.random.default_rng(cfg.seed)
     model = ActionDecoder(np.random.default_rng(cfg.seed + 1), d=cfg.d, window=cfg.window)
     opt = nn.Adam(model.params(), lr=cfg.lr, clip=cfg.clip)
@@ -171,10 +166,7 @@ def train_idm(dataset, config=None, hook=None):
             vi, k = index[pi]
             batch_f[bi] = vids[vi, k:k + w]
             batch_t[bi] = targets[vi, k:k + w - 1]
-        if cfg.noise_sigma > 0:
-            batch_f += rng.normal(0.0, cfg.noise_sigma, size=batch_f.shape).astype(np.float32)
-            np.clip(batch_f, 0.0, 255.0, out=batch_f)
-        batch_f = batch_f / 127.5 - 1.0
+        batch_f = data.inject_noise(batch_f, cfg.noise_sigma, rng) / 127.5 - 1.0
         logits = model(batch_f)
         loss = idm_loss(logits, batch_t)
         val = float(loss.data)
@@ -193,56 +185,63 @@ def train_idm(dataset, config=None, hook=None):
 # Inference
 # ---------------------------------------------------------------------------
 
-def label_video(model, video, window=None):
-    """Action sequence for a 36-frame video via overlapping-window averaging.
+def _window_logits(model, edge_videos):
+    """Logits of every stride-1 window of uint8 edge videos (N, F, 64, 64, 3).
 
     Each frame is encoded once and every window is decoded from the shared
-    embeddings. Normalized per-bin probabilities are averaged across every
-    window that covers a transition; ties break toward the lower bin index.
+    embeddings. Returns (N, F-w+1, w-1, 3, 256).
     """
-    w = window or model.window
+    n, f = edge_videos.shape[:2]
+    w = model.window
+    x = edge_videos.reshape(n * f, 64, 64, 3).astype(np.float32) / 127.5 - 1.0
+    gather = np.arange(f - w + 1)[:, None] + np.arange(w)
+    with nn.no_grad():
+        emb = model.encoder(x).data.reshape(n, f, -1)
+        windows = nn.Tensor(emb[:, gather].reshape(-1, w, emb.shape[-1]))
+        logits = model.decode(windows).data
+    return logits.reshape(n, f - w + 1, w - 1, 3, 256)
+
+
+def label_video(model, video):
+    """Action sequence for a 36-frame video via overlapping-window averaging.
+
+    Normalized per-bin probabilities are averaged across every window that
+    covers a transition; ties break toward the lower bin index.
+    """
+    w = model.window
     frames = np.asarray(video)
     if frames.ndim != 4 or len(frames) < w:
         raise ValueError("video too short")
     n = len(frames)
-    edge = data.edge_extract_video(frames).astype(np.float32) / 127.5 - 1.0
-    starts = np.arange(n - w + 1)
-    with nn.no_grad():
-        emb = model.encoder(edge).data  # (n, d)
-        windows = nn.Tensor(emb[starts[:, None] + np.arange(w)])
-        logits = model.decode(windows).data  # (n_windows, w-1, 3, 256)
+    logits = _window_logits(model, data.edge_extract_video(frames)[None])[0]
     z = logits - logits.max(axis=-1, keepdims=True)
     probs = np.exp(z)
     probs /= probs.sum(axis=-1, keepdims=True)
     acc = np.zeros((n - 1, 3, 256))
     count = np.zeros(n - 1)
-    for wi, k in enumerate(starts):
-        acc[k:k + w - 1] += probs[wi]
+    for k in range(n - w + 1):
+        acc[k:k + w - 1] += probs[k]
         count[k:k + w - 1] += 1
     acc /= count[:, None, None]
     bins = acc.argmax(axis=-1)
     return data.undiscretize(bins)
 
 
-def binwise_accuracy(model, windows, tol=1):
-    """Per-dimension fraction of transitions predicted within +/-tol bins."""
-    if not windows:
+def binwise_accuracy(model, packed, tol=1):
+    """Per-dimension fraction of transitions predicted within +/-tol bins.
+
+    packed is a pack_video_windows triple; every indexed window is scored.
+    """
+    vids, targets, index = packed
+    if len(index) == 0:
         raise ValueError("empty dataset")
-    frames = np.stack([w.frames for w in windows])
-    edge = np.stack([data.edge_extract_video(f) for f in frames]).astype(np.float32)
-    edge = edge / 127.5 - 1.0
-    hits = np.zeros(3)
-    total = 0
-    bs = 32
-    for lo in range(0, len(windows), bs):
-        chunk = edge[lo:lo + bs]
-        targets = np.stack([data.discretize(w.actions) for w in windows[lo:lo + bs]])
-        with nn.no_grad():
-            logits = model(chunk).data
-        pred = logits.argmax(axis=-1)
-        hits += (np.abs(pred - targets) <= tol).sum(axis=(0, 1))
-        total += targets.shape[0] * targets.shape[1]
-    return hits / total
+    # 8 videos per encoder batch bounds the activation memory
+    pred = np.concatenate([_window_logits(model, vids[lo:lo + 8]).argmax(axis=-1)
+                           for lo in range(0, len(vids), 8)])
+    vi, k = index[:, 0], index[:, 1]
+    steps = k[:, None] + np.arange(model.window - 1)
+    hit = np.abs(pred[vi, k] - targets[vi[:, None], steps]) <= tol
+    return hit.mean(axis=(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +272,12 @@ def generalization_study(family_counts, traj_counts, seed=0, steps=None,
             packed = pack_video_windows(trajs)
             cfg = IdmConfig(seed=seed, steps=steps or IdmConfig.steps)
             model, _ = train_idm(packed, cfg)
-            few_windows, zero_windows = [], []
-            for tid in train_tasks:
-                for t in (data.run_episode(tid, 10_000 + seed + i, epsilon=0.0) for i in range(eval_trajs)):
-                    few_windows.extend(data.make_windows(data.subsample_trajectory(t)))
-            for tid in split.zero_shot:
-                for t in (data.run_episode(tid, 20_000 + seed + i, epsilon=0.0) for i in range(eval_trajs)):
-                    zero_windows.extend(data.make_windows(data.subsample_trajectory(t)))
-            few = binwise_accuracy(model, few_windows).mean()
-            zero = binwise_accuracy(model, zero_windows).mean()
+            few = binwise_accuracy(model, pack_video_windows(
+                [data.run_episode(tid, 10_000 + seed + i, epsilon=0.0)
+                 for tid in train_tasks for i in range(eval_trajs)])).mean()
+            zero = binwise_accuracy(model, pack_video_windows(
+                [data.run_episode(tid, 20_000 + seed + i, epsilon=0.0)
+                 for tid in split.zero_shot for i in range(eval_trajs)])).mean()
             rows.append({"families": fc, "traj_per_task": tc,
                          "few_shot_acc": float(few), "zero_shot_acc": float(zero)})
     return rows

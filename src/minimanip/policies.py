@@ -102,16 +102,6 @@ def bc_loss(logits, targets):
     return nn.cross_entropy(logits_t, t)
 
 
-def bc_loss_continuous(predicted, target):
-    """Squared Euclidean distance between continuous actions (per sample mean)."""
-    p = np.asarray(predicted, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValueError("shape mismatch")
-    d = (p - t).reshape(-1, p.shape[-1]) if p.ndim > 1 else (p - t)[None]
-    return float(np.mean(np.sum(d * d, axis=-1)))
-
-
 # ---------------------------------------------------------------------------
 # Training data
 # ---------------------------------------------------------------------------

@@ -200,28 +200,3 @@ def render_pose_video(poses):
         env._disc(frame, poses.positions[t], 2, (val, val, val))
         video[t, :, :, 0] = frame[:, :, 0]
     return video
-
-
-def track_pose_sequence(task, layout, poses, steps_per_pose=3):
-    """Closed-loop check: follow the pose track in the simulator.
-
-    Returns (success, final EnvState). Each pose gets `steps_per_pose` sim
-    steps of capped axis-aligned moves, mirroring how labeled actions are
-    replayed.
-    """
-    task = env.get_task(task)
-    state, _ = env.reset_from_layout(task, layout)
-    ok = False
-    for t in range(1, len(poses)):
-        target = poses.positions[t]
-        grip = env.EXPERT_CAP if poses.closed[t] else -env.EXPERT_CAP
-        for _ in range(steps_per_pose):
-            delta = target - state.gripper
-            a = np.zeros(3)
-            a[:2] = env._axis_step(delta, env.EXPERT_CAP)
-            a[2] = grip
-            state, _, suc = env.step(state, a)
-            ok = ok or suc
-        if ok:
-            break
-    return ok, state

@@ -22,6 +22,14 @@ def config_hash(obj):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def read_exact(f, n, path):
+    """Read exactly n bytes from f; a short read raises a ValueError naming path."""
+    buf = f.read(n)
+    if len(buf) != n:
+        raise ValueError(f"truncated file {path}: expected {n} bytes, got {len(buf)}")
+    return buf
+
+
 def save_checkpoint(path, state, meta):
     """Write named float tensors and a metadata dict."""
     meta_blob = json.dumps(meta, sort_keys=True).encode()
@@ -44,19 +52,22 @@ def load_checkpoint(path):
     with open(path, "rb") as f:
         if f.read(8) != CKPT_MAGIC:
             raise ValueError(f"bad checkpoint magic in {path}")
-        version, meta_len = np.frombuffer(f.read(8), dtype="<u4")
+        def u32s(count):
+            return [int(v) for v in np.frombuffer(read_exact(f, 4 * count, path), dtype="<u4")]
+
+        version, meta_len = u32s(2)
         if version != VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        meta = json.loads(f.read(int(meta_len)).decode())
-        (count,) = np.frombuffer(f.read(4), dtype="<u4")
+        meta = json.loads(read_exact(f, meta_len, path).decode())
         state = {}
-        for _ in range(int(count)):
-            (nlen,) = np.frombuffer(f.read(4), dtype="<u4")
-            name = f.read(int(nlen)).decode()
-            (ndim,) = np.frombuffer(f.read(4), dtype="<u4")
-            shape = tuple(int(v) for v in np.frombuffer(f.read(4 * int(ndim)), dtype="<u4"))
+        (count,) = u32s(1)
+        for _ in range(count):
+            (name_len,) = u32s(1)
+            name = read_exact(f, name_len, path).decode()
+            (ndim,) = u32s(1)
+            shape = tuple(u32s(ndim))
             n = int(np.prod(shape)) if shape else 1
-            state[name] = np.frombuffer(f.read(4 * n), dtype="<f4").reshape(shape).copy()
+            state[name] = np.frombuffer(read_exact(f, 4 * n, path), dtype="<f4").reshape(shape).copy()
     return state, meta
 
 

@@ -1,0 +1,56 @@
+import numpy as np
+import pytest
+
+from minimanip import cli, data, pipeline, policies, storage
+from minimanip import inverse_dynamics as idm
+
+
+def test_collect_label_eval_chain(tmp_path, capsys):
+    cli.main(["collect", "--task", "reach", "--episodes", "1", "--seed", "0",
+              "--out", str(tmp_path / "episodes")])
+    (traj,) = data.load_dataset(tmp_path / "episodes")
+    video = tmp_path / "video.bin"
+    data.save_frames_bin(video, data.subsample_frames(traj))
+
+    idm_ckpt = tmp_path / "idm.ckpt"
+    init = {"d": 16, "frame_blocks": 1, "temporal_blocks": 1}
+    storage.save_model(idm_ckpt, idm.ActionDecoder(np.random.default_rng(0), **init), "idm", init)
+    actions = tmp_path / "actions.bin"
+    cli.main(["label", "--ckpt", str(idm_ckpt), "--video", str(video), "--out", str(actions)])
+    labels = data.load_actions_bin(actions)
+    assert labels.shape == (35, 3)
+    assert np.all(np.abs(labels) <= 1.0)
+
+    lcbc_ckpt = tmp_path / "lcbc.ckpt"
+    init = {"d": 16, "blocks": 1}
+    storage.save_model(lcbc_ckpt, policies.make_policy("lcbc", np.random.default_rng(1), **init),
+                       "lcbc", init)
+    cli.main(["eval", "--ckpt", str(lcbc_ckpt), "--task", "reach", "--episodes", "1"])
+    out = capsys.readouterr().out
+    assert "saved 1 episodes" in out
+    assert "labeled 35 steps" in out
+    assert "reach: accomplishment rate" in out
+
+
+@pytest.mark.parametrize("line,message", [
+    ("use_filter=flase", "config key use_filter: 'flase' is not a valid bool"),
+    ("n_demos=ten", "config key n_demos: 'ten' is not a valid int"),
+    ("pass_threshold=half", "config key pass_threshold: 'half' is not a valid float"),
+    ("mixed_data", "cfg.txt:2: expected key=value, got 'mixed_data'"),
+    ("dvg_stepz=3", "unknown config key: dvg_stepz"),
+], ids=["bool", "int", "float", "no-equals", "unknown-key"])
+def test_crossval_config_errors_name_the_key(tmp_path, monkeypatch, line, message):
+    def run_crossval(*args, **kwargs):  # a config that parses must not start a run here
+        raise AssertionError("config accepted")
+
+    monkeypatch.setattr(pipeline, "run_crossval", run_crossval)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"# tiny\n{line}\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["crossval", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("value,expect", [("1", True), ("Yes", True), ("false", False), ("no", False)])
+def test_config_bool_values(value, expect):
+    assert cli._config_value("use_filter", "bool", value) is expect

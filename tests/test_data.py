@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minimanip import data, env
+from minimanip import data, env, storage
+from minimanip import inverse_dynamics as idm
 
 
 @pytest.fixture(scope="module")
@@ -108,20 +109,29 @@ def test_edge_extract_closure():
 
 def test_inject_noise_identity():
     frame = np.random.default_rng(1).integers(0, 256, size=(64, 64, 3)).astype(np.uint8)
-    assert np.array_equal(data.inject_noise(frame, 0.0, np.random.default_rng(0)), frame)
+    rng = np.random.default_rng(0)
+    out = data.inject_noise(frame, 0.0, rng)
+    assert out.dtype == np.float32
+    assert np.array_equal(out, frame)
+    # sigma 0 draws nothing, so the caller's stream is untouched
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_inject_noise_std():
     frame = np.full((640, 640, 3), 128, dtype=np.uint8)
     out = data.inject_noise(frame, 10.0, np.random.default_rng(0))
+    assert out.dtype == np.float32
     delta = out.astype(np.float64) - 128.0
     assert 9.5 <= delta.std() <= 10.5
+    assert not np.array_equal(out, np.rint(out))  # not rounded to whole pixels
 
 
 def test_inject_noise_clamp():
-    frame = np.full((64, 64, 3), 255, dtype=np.uint8)
-    out = data.inject_noise(frame, 10.0, np.random.default_rng(0))
-    assert out.max() <= 255
+    rng = np.random.default_rng(0)
+    for value in (0, 255):
+        out = data.inject_noise(np.full((64, 64, 3), value, dtype=np.uint8), 10.0, rng)
+        assert out.min() >= 0.0 and out.max() <= 255.0
+        assert np.any(out == value)
 
 
 def test_inject_noise_invalid_sigma():
@@ -136,28 +146,56 @@ def _toy_traj(n_frames):
     return data.Trajectory("reach", 0, 0.0, frames, actions, True, lay)
 
 
-@pytest.mark.parametrize("n,expect", [(13, 2), (12, 1)])
-def test_make_windows_counts(n, expect):
-    wins = data.make_windows(_toy_traj(n), w=12)
-    assert len(wins) == expect
-    assert all(len(w.frames) == 12 and len(w.actions) == 11 for w in wins)
+@pytest.mark.parametrize("w,expect", [(12, 25), (36, 1)])
+def test_pack_video_windows_counts(w, expect):
+    # videos are padded to 36 frames, so a 13-frame episode has 36-w+1 windows
+    vids, targets, index = idm.pack_video_windows([_toy_traj(13), _toy_traj(40)], window=w)
+    assert vids.shape == (2, 36, 64, 64, 3) and targets.shape == (2, 35, 3)
+    assert len(index) == 2 * expect
+    for vi in (0, 1):
+        assert index[index[:, 0] == vi, 1].tolist() == list(range(expect))
 
 
-def test_make_windows_too_short():
-    with pytest.raises(ValueError, match="trajectory too short"):
-        data.make_windows(_toy_traj(11), w=12)
+def test_pack_video_windows_too_short():
+    with pytest.raises(ValueError, match="video too short"):
+        idm.pack_video_windows([_toy_traj(13)], window=37)
 
 
 def test_window_coverage_reconstruction(short_traj):
     w = 12
-    wins = data.make_windows(short_traj, w=w)
-    rebuilt = []
-    k = 0
-    while k < len(wins):
-        rebuilt.append(wins[k].actions)
-        k += w - 1
-    rebuilt = np.concatenate(rebuilt)[:len(short_traj.actions)]
-    assert np.array_equal(rebuilt, short_traj.actions[:len(rebuilt)])
+    vids, targets, index = idm.pack_video_windows([short_traj], window=w)
+    sub = data.subsample_trajectory(short_traj)
+    starts = index[:, 1]
+    rebuilt = np.concatenate([targets[0, k:k + w - 1] for k in starts[::w - 1]])
+    assert len(rebuilt) == 33
+    assert np.array_equal(rebuilt, data.discretize(sub.actions)[:len(rebuilt)])
+    frames = np.concatenate([vids[0, k:k + w] for k in starts[::w]])
+    assert np.array_equal(frames, data.edge_extract_video(sub.frames)[:len(frames)])
+
+
+_BINARY_FORMATS = {
+    "frames": (lambda p: data.save_frames_bin(p, np.arange(96, dtype=np.uint8).reshape(2, 4, 4, 3)),
+               data.load_frames_bin),
+    "actions": (lambda p: data.save_actions_bin(p, np.linspace(-1, 1, 12).reshape(4, 3)),
+                data.load_actions_bin),
+    "checkpoint": (lambda p: storage.save_checkpoint(p, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(3)},
+                                                     {"kind": "idm"}),
+                   storage.load_checkpoint),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_BINARY_FORMATS))
+def test_truncated_file_names_path(tmp_path, fmt):
+    save, load = _BINARY_FORMATS[fmt]
+    path = tmp_path / "full.bin"
+    save(path)
+    load(path)  # the whole file reads back
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(ValueError, match="cut.bin"):
+            load(cut)
 
 
 def test_discretize_endpoints():

@@ -73,7 +73,56 @@ def test_train_determinism():
 
 def test_train_empty():
     with pytest.raises(ValueError, match="empty dataset"):
-        idm.train_idm([])
+        idm.pack_video_windows([])
+
+
+@pytest.fixture(scope="module")
+def noise_packed(tiny_model):
+    """Packed noise videos whose targets make every window's predictions count.
+
+    Returns the packed triple and the reference argmax bins of
+    model(every window). Random-init models predict the same bins for every
+    window of an expert video, so noise frames keep the windows apart; the
+    targets are the reference bins of the windows at starts 0, 11, 22 and
+    24, which tile the 35 transitions, so a mis-gathered window loses hits.
+    """
+    vids = np.random.default_rng(5).integers(0, 256, size=(3, 36, 64, 64, 3), dtype=np.uint8)
+    w = tiny_model.window
+    starts = np.arange(36 - w + 1)
+    x = vids[:, starts[:, None] + np.arange(w)].reshape(-1, w, 64, 64, 3)
+    x = x.astype(np.float32) / 127.5 - 1.0
+    pred = np.concatenate([tiny_model(x[lo:lo + 25]).data.argmax(axis=-1)
+                           for lo in range(0, len(x), 25)]).reshape(3, len(starts), w - 1, 3)
+    targets = np.concatenate([pred[:, 0], pred[:, 11], pred[:, 22], pred[:, 24, 9:]], axis=1)
+    index = np.asarray([(vi, k) for vi in range(3) for k in starts])
+    return (vids, targets, index), pred
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_binwise_accuracy_matches_windowed_model(tiny_model, noise_packed, stride):
+    # stride 7 keeps a subset of the index, which alone must be scored
+    (vids, targets, index), pred = noise_packed
+    index = index[::stride]
+    w = tiny_model.window
+    hits = np.zeros(3)
+    for vi, k in index:
+        hits += (np.abs(pred[vi, k] - targets[vi, k:k + w - 1]) <= 1).sum(axis=0)
+    want = hits / (len(index) * (w - 1))
+    assert np.array_equal(idm.binwise_accuracy(tiny_model, (vids, targets, index)), want)
+
+
+def test_binwise_accuracy_encodes_each_frame_once(tiny_model, noise_packed, monkeypatch):
+    rows = []
+    encode = idm.FrameEncoder.__call__
+
+    def counting(self, frames):
+        rows.append(frames.shape[0])
+        return encode(self, frames)
+
+    monkeypatch.setattr(idm.FrameEncoder, "__call__", counting)
+    packed, _ = noise_packed
+    idm.binwise_accuracy(tiny_model, packed)
+    assert sum(rows) == 36 * len(packed[0])
 
 
 def test_label_video_coverage_arithmetic():

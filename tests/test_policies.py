@@ -41,23 +41,6 @@ def test_bc_loss_shape_mismatch():
         policies.bc_loss(nn.Tensor(np.zeros((4, 3, 100), np.float32)), np.zeros((4, 3), np.int64))
 
 
-def test_bc_loss_continuous():
-    a = np.array([0.3, -0.2, 0.9])
-    assert policies.bc_loss_continuous(a, a) == 0.0
-    assert policies.bc_loss_continuous(np.zeros(3), np.array([1.0, 0, 0])) == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        policies.bc_loss_continuous(np.zeros(3), np.zeros(2))
-
-
-def test_bc_loss_continuous_nonneg_iff_zero():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        p, t = rng.normal(size=3), rng.normal(size=3)
-        v = policies.bc_loss_continuous(p, t)
-        assert v >= 0.0
-        assert (v == 0.0) == np.allclose(p, t)
-
-
 def test_greedy_invariant_to_constant_shift():
     m = policies.make_policy("lcbc", np.random.default_rng(0), d=32, blocks=1)
     obs = np.random.default_rng(1).random((64, 64, 3)).astype(np.float32)

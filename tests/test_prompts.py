@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minimanip import env, prompts
+from minimanip import env, pipeline, prompts
 
 TABLE_ROWS = [
     ("Vertical button, reddish-brown wall",
@@ -128,10 +128,16 @@ def test_plan_pose_deterministic():
 
 @pytest.mark.parametrize("task_id", env.TASK_IDS)
 def test_plan_pose_closed_loop_sound(task_id):
+    # the plan, as the actions a perfect labeler would read off its video,
+    # replayed by the same function the demo filter runs
     for seed in range(20):
         lay = env.sample_layout(task_id, seed)
-        ok, _ = prompts.track_pose_sequence(task_id, lay, prompts.plan_pose(task_id, lay))
-        assert ok, f"pose tracking failed for {task_id} seed {seed}"
+        poses = prompts.plan_pose(task_id, lay)
+        actions = np.zeros((len(poses.positions) - 1, 3))
+        actions[:, :2] = np.diff(poses.positions, axis=0) / env.STEP
+        actions[:, 2] = np.where(poses.closed[1:], 1.0, -1.0)
+        ok, _ = pipeline.replay_actions(task_id, lay, actions)
+        assert ok, f"pose replay failed for {task_id} seed {seed}"
 
 
 def test_render_pose_video_mapping():
