@@ -33,7 +33,7 @@ def main():
     print("sampled video:", video.shape, video.dtype)
     ref = data.subsample_frames(trajs[0])
     print(f"PSNR vs the matching expert video: {diffusion.psnr(video, ref):.1f} dB "
-          "(a 300-step model is blurry; the acceptance overfit run reaches >= 20 dB)")
+          "(a 300-step model is still blurry)")
 
 
 if __name__ == "__main__":

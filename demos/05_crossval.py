@@ -1,7 +1,7 @@
 """Scaled-down run of the two-fold cross-validation experiment.
 
-The real experiment (see tests/test_acceptance.py and the `minimanip
-crossval` command) uses bigger budgets; this demo runs one fold with small
+The real experiment (`minimanip crossval` with the `CrossvalConfig`
+defaults) uses bigger budgets; this demo runs one fold with small
 step counts so the whole thing finishes in well under an hour and prints
 the table-style summary plus the demonstration quality report.
 """

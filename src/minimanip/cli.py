@@ -129,7 +129,7 @@ def _cmd_train_policy(args):
     cfg = policies.BCConfig(steps=args.steps, seed=args.seed)
     model, log = policies.train_policy(args.arch, eps, cfg)
     storage.save_model(args.out, model, args.arch,
-                       {"d": cfg.d, "blocks": cfg.blocks} | ({"history": cfg.history} if args.arch == "rt1" else {}),
+                       {"d": cfg.d, "blocks": cfg.blocks} | ({"history": model.history} if args.arch == "rt1" else {}),
                        {"seed": args.seed, "final_loss": log[-1]})
     print(f"trained {args.arch} (loss {log[0]:.3f} -> {log[-1]:.3f}); saved {args.out}")
 
@@ -159,7 +159,7 @@ def _parse_config_file(path):
 
 
 def _config_value(key, typ, v):
-    """Parse one config value by its CrossvalConfig field type."""
+    """Parse one config value by its type name: int, float, bool or str."""
     try:
         if typ == "int":
             return int(v)
@@ -169,8 +169,6 @@ def _config_value(key, typ, v):
             return _BOOLS[v.lower()]
     except (KeyError, ValueError):
         raise SystemExit(f"config key {key}: {v!r} is not a valid {typ}") from None
-    if typ == "tuple":
-        return tuple(int(x) if x.isdigit() else x for x in v.split(","))
     return v
 
 
@@ -182,7 +180,11 @@ def _cmd_crossval(args):
         for k, v in _parse_config_file(args.config).items():
             if k not in fields:
                 raise SystemExit(f"unknown config key: {k}")
-            kw[k] = _config_value(k, fields[k].type, v)
+            if fields[k].type == "tuple":  # comma-separated, typed like the default's items
+                elem = type(fields[k].default[0]).__name__
+                kw[k] = tuple(_config_value(k, elem, x.strip()) for x in v.split(","))
+            else:
+                kw[k] = _config_value(k, fields[k].type, v)
     cfg = pipeline.CrossvalConfig(**kw)
     reports, quality = pipeline.run_crossval(cfg, out_dir=args.out)
     print(pipeline.summarize(reports))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import env
-from .storage import read_exact
+from .storage import read_exact, read_header, write_header
 
 FRAMES_MAGIC = b"MMTRJ1\x00\x00"
 ACTIONS_MAGIC = b"MMACT1\x00\x00"
@@ -139,27 +139,21 @@ def save_trajectory(traj, dirpath):
 
 def load_frames_bin(path):
     with open(path, "rb") as f:
-        if f.read(8) != FRAMES_MAGIC:
-            raise ValueError(f"bad magic in {path}")
-        n, h, w, c = (int(v) for v in np.frombuffer(read_exact(f, 16, path), dtype="<u4"))
+        n, h, w, c = read_header(f, FRAMES_MAGIC, 4, path, "frames")
         data = np.frombuffer(read_exact(f, n * h * w * c, path), dtype=np.uint8)
     return data.reshape(n, h, w, c).copy()
 
 
 def save_frames_bin(path, frames):
     frames = np.ascontiguousarray(frames, dtype=np.uint8)
-    n, h, w, c = frames.shape
     with open(path, "wb") as f:
-        f.write(FRAMES_MAGIC)
-        f.write(np.asarray([n, h, w, c], dtype="<u4").tobytes())
+        write_header(f, FRAMES_MAGIC, frames.shape)
         f.write(frames.tobytes())
 
 
 def load_actions_bin(path):
     with open(path, "rb") as f:
-        if f.read(8) != ACTIONS_MAGIC:
-            raise ValueError(f"bad magic in {path}")
-        n = int(np.frombuffer(read_exact(f, 4, path), dtype="<u4")[0])
+        (n,) = read_header(f, ACTIONS_MAGIC, 1, path, "actions")
         data = np.frombuffer(read_exact(f, n * 12, path), dtype="<f4")
     return data.reshape(n, 3).copy()
 
@@ -167,8 +161,7 @@ def load_actions_bin(path):
 def save_actions_bin(path, actions):
     actions = np.ascontiguousarray(actions, dtype="<f4")
     with open(path, "wb") as f:
-        f.write(ACTIONS_MAGIC)
-        f.write(np.asarray([len(actions)], dtype="<u4").tobytes())
+        write_header(f, ACTIONS_MAGIC, [len(actions)])
         f.write(actions.tobytes())
 
 
@@ -224,33 +217,34 @@ def subsample_frames(traj, skip=SKIP, max_frames=VIDEO_FRAMES):
     return picked
 
 
-def bridge_actions(actions, skip=SKIP, n_transitions=VIDEO_FRAMES - 1):
-    """Per-subsampled-step actions: summed displacement, mean grip, zero padding.
+def bridge_actions(actions):
+    """Per-subsampled-step actions: summed displacement, end-of-group grip, zero padding.
 
-    Summing the displacement commands of `skip` consecutive sim steps gives the
+    Summing the displacement commands of SKIP consecutive sim steps gives the
     net motion between subsampled frames (the expert's per-step magnitude cap
-    keeps sums inside [-1, 1]); replaying the result as `skip` steps of
-    1/skip magnitude reproduces that motion exactly.
+    keeps sums inside [-1, 1]); replaying the result as SKIP steps of
+    1/SKIP magnitude reproduces that motion exactly. Returns one action per
+    transition of a VIDEO_FRAMES-frame video.
     """
     actions = np.asarray(actions, dtype=np.float32)
-    out = np.zeros((n_transitions, 3), dtype=np.float32)
-    n_groups = (len(actions) + skip - 1) // skip
-    for t in range(min(n_transitions, n_groups)):
+    out = np.zeros((VIDEO_FRAMES - 1, 3), dtype=np.float32)
+    n_groups = (len(actions) + SKIP - 1) // SKIP
+    for t in range(min(VIDEO_FRAMES - 1, n_groups)):
         # the final group may be partial (episodes truncate at success); its
         # sum still encodes the remaining net displacement
-        chunk = actions[t * skip:(t + 1) * skip]
+        chunk = actions[t * SKIP:(t + 1) * SKIP]
         out[t, :2] = np.clip(chunk[:, :2].sum(axis=0), -1.0, 1.0)
         # grip: state at the group's end, which is what the next frame shows
         out[t, 2] = chunk[-1, 2]
     return out
 
 
-def subsample_trajectory(traj, skip=SKIP, length=VIDEO_FRAMES):
+def subsample_trajectory(traj):
     """Trajectory at the video frame rate: padded frames + bridged actions."""
     return Trajectory(
         task_id=traj.task_id, seed=traj.seed, epsilon=traj.epsilon,
-        frames=subsample_frames(traj, skip, length),
-        actions=bridge_actions(traj.actions, skip, length - 1),
+        frames=subsample_frames(traj),
+        actions=bridge_actions(traj.actions),
         success=traj.success, layout=traj.layout,
     )
 
@@ -320,13 +314,13 @@ def gripper_pose_track(traj):
     return np.asarray(positions), np.asarray(closed, dtype=bool)
 
 
-def subsampled_pose_track(traj, skip=SKIP, length=VIDEO_FRAMES):
+def subsampled_pose_track(traj):
     """Pose track at the video frame rate, padded like subsample_frames."""
     positions, closed = gripper_pose_track(traj)
-    pos = positions[::skip][:length]
-    clo = closed[::skip][:length]
-    if len(pos) < length:
-        pad = length - len(pos)
+    pos = positions[::SKIP][:VIDEO_FRAMES]
+    clo = closed[::SKIP][:VIDEO_FRAMES]
+    if len(pos) < VIDEO_FRAMES:
+        pad = VIDEO_FRAMES - len(pos)
         pos = np.concatenate([pos, np.repeat(pos[-1:], pad, axis=0)])
         clo = np.concatenate([clo, np.repeat(clo[-1:], pad)])
     return pos, clo

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import nn, prompts
 from .data import to_unit, from_unit
 
 FRAMES = 36
-TEXT_DIM = 32
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +99,10 @@ def reverse_step(vi, i, eps_hat, schedule, rng):
 class VideoAttention(nn.Module):
     """Pre-norm single-head residual attention over (N, T, C) tokens."""
 
-    def __init__(self, d, n_tokens, rng, dtype=np.float32):
-        self.ln = nn.LayerNorm(d, dtype=dtype)
-        self.attn = nn.SelfAttention(d, rng, dtype=dtype)
-        self.pos = nn.Param((0.3 * rng.normal(size=(n_tokens, d))).astype(dtype))
+    def __init__(self, d, n_tokens, rng):
+        self.ln = nn.LayerNorm(d)
+        self.attn = nn.SelfAttention(d, rng)
+        self.pos = nn.Param((0.3 * rng.normal(size=(n_tokens, d))).astype(np.float32))
 
     def __call__(self, x):
         return x + self.attn(self.ln(x + self.pos))
@@ -115,11 +114,11 @@ class VideoAttention(nn.Module):
 class PoseAdapter(nn.Module):
     """Per-frame conv pyramid over the pose video; one feature map per level."""
 
-    def __init__(self, channels, rng, dtype=np.float32):
+    def __init__(self, channels, rng):
         c1, c2, c3 = channels
-        self.c1 = nn.Conv2d(1, c1, rng, dtype=dtype)
-        self.c2 = nn.Conv2d(c1, c2, rng, stride=2, dtype=dtype)
-        self.c3 = nn.Conv2d(c2, c3, rng, stride=2, dtype=dtype)
+        self.c1 = nn.Conv2d(1, c1, rng)
+        self.c2 = nn.Conv2d(c1, c2, rng, stride=2)
+        self.c3 = nn.Conv2d(c2, c3, rng, stride=2)
 
     def __call__(self, pose):
         f1 = self.c1(pose)
@@ -131,46 +130,48 @@ class PoseAdapter(nn.Module):
 class VideoDenoiser(nn.Module):
     """Epsilon-prediction U-Net over (B, F, 3, 64, 64) videos in [-1, 1]."""
 
-    def __init__(self, rng=None, channels=(12, 24, 48), cond_dim=64,
-                 frames=FRAMES, text_dim=TEXT_DIM, dtype=np.float32):
+    def __init__(self, rng=None, channels=(12, 24, 48), cond_dim=64, frames=FRAMES):
         rng = rng if rng is not None else np.random.default_rng(0)
         c1, c2, c3 = channels
         self.channels = tuple(channels)
         self.frames = frames
         self.cond_dim = cond_dim
         # 64x64 level stays slim (3x3 convs here dominate the FLOP budget)
-        self.in_conv = nn.Conv2d(3, c1, rng, dtype=dtype)
-        self.tattn1 = VideoAttention(c1, frames, rng, dtype=dtype)
-        self.down1 = nn.Conv2d(c1, c2, rng, stride=2, dtype=dtype)
-        self.tattn2 = VideoAttention(c2, frames, rng, dtype=dtype)
-        self.conv2 = nn.Conv2d(c2, c2, rng, dtype=dtype)
-        self.down2 = nn.Conv2d(c2, c3, rng, stride=2, dtype=dtype)
-        self.sattn3 = VideoAttention(c3, 16 * 16, rng, dtype=dtype)
-        self.tattn3 = VideoAttention(c3, frames, rng, dtype=dtype)
-        self.conv3 = nn.Conv2d(c3, c3, rng, dtype=dtype)
-        self.up2 = nn.UpBlock(c3, c2, rng, dtype=dtype)
-        self.conv4 = nn.Conv2d(c2, c2, rng, dtype=dtype)
-        self.up1 = nn.UpBlock(c2, c1, rng, dtype=dtype)
-        self.out_proj = nn.Conv2d(c1, 6, rng, k=1, dtype=dtype)
-        self.out_conv = nn.Conv2d(6, 3, rng, dtype=dtype)
+        self.in_conv = nn.Conv2d(3, c1, rng)
+        self.tattn1 = VideoAttention(c1, frames, rng)
+        self.down1 = nn.Conv2d(c1, c2, rng, stride=2)
+        self.tattn2 = VideoAttention(c2, frames, rng)
+        self.conv2 = nn.Conv2d(c2, c2, rng)
+        self.down2 = nn.Conv2d(c2, c3, rng, stride=2)
+        self.sattn3 = VideoAttention(c3, 16 * 16, rng)
+        self.tattn3 = VideoAttention(c3, frames, rng)
+        self.conv3 = nn.Conv2d(c3, c3, rng)
+        self.up2 = nn.UpBlock(c3, c2, rng)
+        self.conv4 = nn.Conv2d(c2, c2, rng)
+        self.up1 = nn.UpBlock(c2, c1, rng)
+        self.out_proj = nn.Conv2d(c1, 6, rng, k=1)
+        self.out_conv = nn.Conv2d(6, 3, rng)
         self.out_conv.w.data *= 0.01  # start near zero-noise prediction
-        self.time_fc1 = nn.Linear(cond_dim, cond_dim, rng, dtype=dtype)
-        self.time_fc2 = nn.Linear(cond_dim, cond_dim, rng, dtype=dtype)
-        self.text_fc = nn.Linear(text_dim, cond_dim, rng, dtype=dtype)
-        self.cond1 = nn.Linear(cond_dim, c1, rng, dtype=dtype)
-        self.cond2 = nn.Linear(cond_dim, c2, rng, dtype=dtype)
-        self.cond3 = nn.Linear(cond_dim, c3, rng, dtype=dtype)
-        self.cond4 = nn.Linear(cond_dim, c2, rng, dtype=dtype)
-        self.cond5 = nn.Linear(cond_dim, c1, rng, dtype=dtype)
-        self.adapter = PoseAdapter(channels, rng, dtype=dtype)
-        self.dtype = dtype
+        self.time_fc1 = nn.Linear(cond_dim, cond_dim, rng)
+        self.time_fc2 = nn.Linear(cond_dim, cond_dim, rng)
+        self.text_fc = nn.Linear(prompts.EMBED_DIM, cond_dim, rng)
+        self.cond1 = nn.Linear(cond_dim, c1, rng)
+        self.cond2 = nn.Linear(cond_dim, c2, rng)
+        self.cond3 = nn.Linear(cond_dim, c3, rng)
+        self.cond4 = nn.Linear(cond_dim, c2, rng)
+        self.cond5 = nn.Linear(cond_dim, c1, rng)
+        self.adapter = PoseAdapter(channels, rng)
 
     # -- conditioning helpers ------------------------------------------
+    def _input(self, x):
+        """x as a Tensor; an array is cast to the parameters' dtype."""
+        return x if isinstance(x, nn.Tensor) else nn.Tensor(np.asarray(x, dtype=self.in_conv.w.dtype))
+
     def _cond_vector(self, t_idx, text_emb, schedule_T):
         emb = nn.sinusoidal_embedding(np.asarray(t_idx, dtype=np.float64) / schedule_T * 1000.0,
-                                      self.cond_dim).astype(self.dtype)
-        h = self.time_fc2(nn.silu(self.time_fc1(nn.Tensor(emb))))
-        return h + self.text_fc(nn.Tensor(np.asarray(text_emb, dtype=self.dtype)))
+                                      self.cond_dim)
+        h = self.time_fc2(nn.silu(self.time_fc1(self._input(emb))))
+        return h + self.text_fc(self._input(text_emb))
 
     @staticmethod
     def _add_cond(x, cond_c, b, f):
@@ -189,17 +190,14 @@ class VideoDenoiser(nn.Module):
 
     def pose_features(self, pose_video):
         """Encode a pose video (B, F, 64, 64, 1) in [0,1] into level features."""
-        pv = pose_video
-        if isinstance(pv, np.ndarray):
-            pv = nn.Tensor(pv.astype(self.dtype, copy=False))
+        pv = self._input(pose_video)
         b = pv.shape[0]
         flat = pv.reshape(b * self.frames, pv.shape[-3], pv.shape[-2], 1)
         return self.adapter(flat)
 
     def __call__(self, v, t_idx, text_emb, pose_feats, schedule_T):
         """Predict the noise in v (B, F, 64, 64, 3) at timesteps t_idx."""
-        if isinstance(v, np.ndarray):
-            v = nn.Tensor(v.astype(self.dtype, copy=False))
+        v = self._input(v)
         b, f = v.shape[0], v.shape[1]
         hh, ww = v.shape[2], v.shape[3]
         f1, f2, f3 = pose_feats
@@ -241,12 +239,10 @@ class VideoDenoiser(nn.Module):
 class DvgConfig:
     steps: int = 1500
     batch: int = 2
-    lr: float = 2e-3
     seed: int = 0
     T: int = 200
     kind: str = "cosine"
     channels: tuple = (12, 24, 48)
-    clip: float = 1.0
 
 
 def prepare_dvg_dataset(items):
@@ -255,13 +251,12 @@ def prepare_dvg_dataset(items):
     Returns dict with videos (N,F,64,64,3) in [-1,1], text (N,32), and pose
     videos (N,F,64,64,1) in [0,1].
     """
-    from . import prompts as prompts_mod
     if not items:
         raise ValueError("empty dataset")
     videos, texts, poses = [], [], []
     for video, prompt, pose_video in items:
         videos.append(to_unit(video))
-        texts.append(prompts_mod.embed_prompt(prompt))
+        texts.append(prompts.embed_prompt(prompt))
         poses.append(np.asarray(pose_video, dtype=np.float32) / 255.0)
     return {
         "videos": np.asarray(videos, dtype=np.float32),
@@ -270,7 +265,7 @@ def prepare_dvg_dataset(items):
     }
 
 
-def train_dvg(dataset, config=None, model=None, hook=None):
+def train_dvg(dataset, config=None, hook=None):
     """Mini-batch epsilon-prediction training; returns (model, loss log)."""
     cfg = config or DvgConfig()
     packed = dataset if isinstance(dataset, dict) else prepare_dvg_dataset(dataset)
@@ -279,10 +274,9 @@ def train_dvg(dataset, config=None, model=None, hook=None):
     if n == 0:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(cfg.seed)
-    if model is None:
-        model = VideoDenoiser(np.random.default_rng(cfg.seed + 1), channels=cfg.channels)
+    model = VideoDenoiser(np.random.default_rng(cfg.seed + 1), channels=cfg.channels)
     sched = build_schedule(cfg.T, cfg.kind)
-    opt = nn.Adam(model.params(), lr=cfg.lr, clip=cfg.clip)
+    opt = nn.Adam(model.params(), lr=2e-3, clip=1.0)
     log = []
     for it in range(cfg.steps):
         idx = rng.integers(0, n, size=min(cfg.batch, n))
@@ -305,11 +299,11 @@ def train_dvg(dataset, config=None, model=None, hook=None):
     return model, log
 
 
-def sample_video(model, text_emb, pose_video, schedule, rng, as_uint8=True):
+def sample_video(model, text_emb, pose_video, schedule, rng):
     """Ancestral sampling conditioned on text embeddings and pose videos.
 
     text_emb (M, 32); pose_video (M, F, 64, 64, 1) in [0,1] or uint8.
-    Returns (M, F, 64, 64, 3) uint8 frames (or the float video in [-1,1]).
+    Returns (M, F, 64, 64, 3) uint8 frames.
     """
     text_emb = np.atleast_2d(np.asarray(text_emb, dtype=np.float32))
     pose = np.asarray(pose_video, dtype=np.float32)
@@ -328,8 +322,6 @@ def sample_video(model, text_emb, pose_video, schedule, rng, as_uint8=True):
                 raise RuntimeError(f"numerical divergence at step {i}")
             v = reverse_step(v, i, eps, schedule, rng)
     v = np.clip(v, -1.0, 1.0)
-    if not as_uint8:
-        return v
     return from_unit(v)
 
 

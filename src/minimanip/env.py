@@ -21,6 +21,7 @@ EXPERT_CAP = 1.0 / 3  # expert per-step action magnitude; keeps 3-step sums in [
 NEAR_TOL = 0.03       # grab distance: ~2 px, visually resolvable, still well inside ENGAGE_R
 WALL_HALF = 0.018
 ARC_STEP = 0.15       # radians between arc waypoints for hinge/knob drags
+GRAB_ALIGN = 3        # expert grasps start on multiples of the frame-subsampling stride
 
 FAMILIES = ("button", "reach", "push", "door", "drawer", "faucet", "plate", "window")
 
@@ -457,6 +458,23 @@ def success(state, task):
 # Waypoint plans (shared by the scripted expert and the pose planner)
 # ---------------------------------------------------------------------------
 
+def _goal_with_margin(task):
+    """Target state of a press or slide mechanism, past its success threshold.
+
+    Button depth, drawer/window extension or plate slide; closing targets
+    are floored at zero.
+    """
+    tid, fam = task.task_id, task.family
+    c = CONFIG[fam]
+    if fam == "button":
+        return c["depth_goal"] + 0.006
+    if fam == "plate":
+        return c["fwd_goal"] + 0.01 if tid == "plate-slide" else max(0.0, c["back_goal"] - 0.01)
+    # drawer / window
+    opening = tid in ("drawer-open", "window-open")
+    return c["open_goal"] + 0.008 if opening else max(0.0, c["close_goal"] - 0.008)
+
+
 def _object_goal_track(task, layout):
     """Grasp-phase gripper positions that carry the object to its goal.
 
@@ -468,8 +486,7 @@ def _object_goal_track(task, layout):
     if fam == "button":
         axis_in = _button_axis(tid)
         tip = _button_tip(tid, layout)
-        # press past the goal depth for margin
-        travel = c["depth_goal"] + 0.006 - layout.scalars["depth"]
+        travel = _goal_with_margin(task) - layout.scalars["depth"]
         return [tip + axis_in * max(0.0, travel)]
     if fam == "reach":
         return [layout.positions["target"].copy()]
@@ -491,14 +508,11 @@ def _object_goal_track(task, layout):
         return [ctr + c["arm_len"] * np.array([np.sin(t), np.cos(t)])
                 for t in np.linspace(ph0, ph1, n + 1)[1:]]
     if fam == "drawer":
-        e1 = c["open_goal"] + 0.008 if tid == "drawer-open" else max(0.0, c["close_goal"] - 0.008)
-        return [layout.positions["face"] + np.array([0.0, -e1])]
+        return [layout.positions["face"] + np.array([0.0, -_goal_with_margin(task)])]
     if fam == "plate":
-        s1 = c["fwd_goal"] + 0.01 if tid == "plate-slide" else max(0.0, c["back_goal"] - 0.01)
-        return [layout.positions["slot"] + np.array([s1, 0.0])]
+        return [layout.positions["slot"] + np.array([_goal_with_margin(task), 0.0])]
     # window
-    e1 = c["open_goal"] + 0.008 if tid == "window-open" else max(0.0, c["close_goal"] - 0.008)
-    return [layout.positions["frame"] + np.array([0.0, e1])]
+    return [layout.positions["frame"] + np.array([0.0, _goal_with_margin(task)])]
 
 
 def _route(layout, start, target):
@@ -570,31 +584,27 @@ def _drag_delta(task, layout, g):
     current object state so an engage-time offset never causes a shortfall;
     hinges track the gripper's absolute angle, so arc waypoints are absolute.
     """
-    tid, fam = task.task_id, task.family
-    c = CONFIG[fam]
+    fam = task.family
     if fam == "button":
-        need = c["depth_goal"] + 0.006 - layout.scalars["depth"]
-        return _button_axis(tid) * max(0.0, need)
+        need = _goal_with_margin(task) - layout.scalars["depth"]
+        return _button_axis(task.task_id) * max(0.0, need)
     if fam == "push":
         return layout.positions["zone"] - layout.positions["puck"]
     if fam == "drawer":
-        e1 = c["open_goal"] + 0.008 if tid == "drawer-open" else max(0.0, c["close_goal"] - 0.008)
-        return np.array([0.0, layout.scalars["ext"] - e1])
+        return np.array([0.0, layout.scalars["ext"] - _goal_with_margin(task)])
     if fam == "plate":
-        s1 = c["fwd_goal"] + 0.01 if tid == "plate-slide" else max(0.0, c["back_goal"] - 0.01)
-        return np.array([s1 - layout.scalars["slide"], 0.0])
+        return np.array([_goal_with_margin(task) - layout.scalars["slide"], 0.0])
     if fam == "window":
-        e1 = c["open_goal"] + 0.008 if tid == "window-open" else max(0.0, c["close_goal"] - 0.008)
-        return np.array([0.0, e1 - layout.scalars["ext"]])
+        return np.array([0.0, _goal_with_margin(task) - layout.scalars["ext"]])
     # door / faucet: head for the next absolute arc waypoint
     return _object_goal_track(task, layout)[0] - g
 
 
-def expert_action(state, task, grab_align=3):
+def expert_action(state, task):
     """Deterministic waypoint-following expert move for the current state.
 
-    The grip closes only on a step index divisible by `grab_align`, idling at
-    the handle for up to grab_align-1 steps first. Grasps then start exactly
+    The grip closes only on a step index divisible by GRAB_ALIGN, idling at
+    the handle for up to GRAB_ALIGN-1 steps first. Grasps then start exactly
     at frame-subsampling boundaries, which keeps open-loop replays of bridged
     actions faithful to the original grasp offset.
     """
@@ -618,7 +628,7 @@ def expert_action(state, task, grab_align=3):
         if dist > NEAR_TOL:
             target = _next_waypoint(_route(lay, g, grasp), g)
             return np.array([*(_axis_step(target - g, EXPERT_CAP)), -EXPERT_CAP])
-        if grab_align > 1 and state.steps % grab_align != 0:
+        if state.steps % GRAB_ALIGN != 0:
             return np.array([0.0, 0.0, -EXPERT_CAP])  # wait for a grab boundary
 
     # grab or keep holding: drive the object along its constraint

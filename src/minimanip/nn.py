@@ -360,12 +360,12 @@ def mse(a, b):
 
 # -- normalization ------------------------------------------------------
 
-def layernorm(x, gamma, beta, eps=1e-5):
+def layernorm(x, gamma, beta):
     """Normalize over the last axis, then scale/shift."""
     mu = x.data.mean(axis=-1, keepdims=True)
     xn = x.data - mu
     var = np.mean(np.square(xn), axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xn *= inv
 
     def bwd(g):
@@ -497,14 +497,12 @@ class Module:
                         out[f"{key}.{i}"] = item
         return out
 
-    def n_params(self):
-        return sum(p.data.size for p in self.params().values())
-
     def zero_grad(self):
         for p in self.params().values():
             p.grad = None
 
     def astype(self, dtype):
+        """Cast every parameter to dtype in place (models are built float32)."""
         for p in self.params().values():
             p.data = p.data.astype(dtype)
         return self
@@ -524,10 +522,10 @@ class Module:
 
 
 class Linear(Module):
-    def __init__(self, n_in, n_out, rng, scale=None, dtype=np.float32):
+    def __init__(self, n_in, n_out, rng, scale=None):
         s = scale if scale is not None else math.sqrt(2.0 / n_in)
-        self.w = Param(rng.normal(0.0, s, size=(n_in, n_out)).astype(dtype))
-        self.b = Param(np.zeros(n_out, dtype=dtype))
+        self.w = Param(rng.normal(0.0, s, size=(n_in, n_out)).astype(np.float32))
+        self.b = Param(np.zeros(n_out, dtype=np.float32))
 
     def __call__(self, x):
         return matmul(x, self.w) + self.b
@@ -536,10 +534,10 @@ class Linear(Module):
 class Conv2d(Module):
     """3x3 (or kxk) conv over channels-last maps."""
 
-    def __init__(self, c_in, c_out, rng, k=3, stride=1, dtype=np.float32):
+    def __init__(self, c_in, c_out, rng, k=3, stride=1):
         s = math.sqrt(2.0 / (c_in * k * k))
-        self.w = Param(rng.normal(0.0, s, size=(k, k, c_in, c_out)).astype(dtype))
-        self.b = Param(np.zeros(c_out, dtype=dtype))
+        self.w = Param(rng.normal(0.0, s, size=(k, k, c_in, c_out)).astype(np.float32))
+        self.b = Param(np.zeros(c_out, dtype=np.float32))
         self.stride = stride
         self.pad = k // 2
 
@@ -550,17 +548,17 @@ class Conv2d(Module):
 class UpBlock(Module):
     """Nearest 2x upsample followed by a pointwise channel map."""
 
-    def __init__(self, c_in, c_out, rng, dtype=np.float32):
-        self.proj = Conv2d(c_in, c_out, rng, k=1, dtype=dtype)
+    def __init__(self, c_in, c_out, rng):
+        self.proj = Conv2d(c_in, c_out, rng, k=1)
 
     def __call__(self, x):
         return self.proj(upsample2x(x))
 
 
 class LayerNorm(Module):
-    def __init__(self, n, dtype=np.float32):
-        self.g = Param(np.ones(n, dtype=dtype))
-        self.b = Param(np.zeros(n, dtype=dtype))
+    def __init__(self, n):
+        self.g = Param(np.ones(n, dtype=np.float32))
+        self.b = Param(np.zeros(n, dtype=np.float32))
 
     def __call__(self, x):
         return layernorm(x, self.g, self.b)
@@ -569,12 +567,12 @@ class LayerNorm(Module):
 class SelfAttention(Module):
     """Single-head self-attention over (B, T, D), optionally causal."""
 
-    def __init__(self, d, rng, causal=False, dtype=np.float32):
+    def __init__(self, d, rng, causal=False):
         s = math.sqrt(1.0 / d)
-        self.wq = Param(rng.normal(0.0, s, size=(d, d)).astype(dtype))
-        self.wk = Param(rng.normal(0.0, s, size=(d, d)).astype(dtype))
-        self.wv = Param(rng.normal(0.0, s, size=(d, d)).astype(dtype))
-        self.wo = Param(rng.normal(0.0, s, size=(d, d)).astype(dtype))
+        self.wq = Param(rng.normal(0.0, s, size=(d, d)).astype(np.float32))
+        self.wk = Param(rng.normal(0.0, s, size=(d, d)).astype(np.float32))
+        self.wv = Param(rng.normal(0.0, s, size=(d, d)).astype(np.float32))
+        self.wo = Param(rng.normal(0.0, s, size=(d, d)).astype(np.float32))
         self.causal = causal
         self.d = d
 
@@ -600,12 +598,12 @@ def swap_last(x):
 class TransformerBlock(Module):
     """Pre-norm attention + MLP block on (B, T, D)."""
 
-    def __init__(self, d, rng, causal=False, mlp_mult=2, dtype=np.float32):
-        self.ln1 = LayerNorm(d, dtype=dtype)
-        self.attn = SelfAttention(d, rng, causal=causal, dtype=dtype)
-        self.ln2 = LayerNorm(d, dtype=dtype)
-        self.fc1 = Linear(d, mlp_mult * d, rng, dtype=dtype)
-        self.fc2 = Linear(mlp_mult * d, d, rng, scale=math.sqrt(1.0 / (mlp_mult * d)), dtype=dtype)
+    def __init__(self, d, rng, causal=False):
+        self.ln1 = LayerNorm(d)
+        self.attn = SelfAttention(d, rng, causal=causal)
+        self.ln2 = LayerNorm(d)
+        self.fc1 = Linear(d, 2 * d, rng)
+        self.fc2 = Linear(2 * d, d, rng, scale=math.sqrt(1.0 / (2 * d)))
 
     def __call__(self, x):
         x = x + self.attn(self.ln1(x))
@@ -615,10 +613,9 @@ class TransformerBlock(Module):
 class Adam:
     """Standard Adam with optional global-norm clipping."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, clip=None):
+    def __init__(self, params, lr=1e-3, clip=None):
         self.params = dict(params)
         self.lr = lr
-        self.b1, self.b2, self.eps = beta1, beta2, eps
         self.clip = clip
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -632,27 +629,28 @@ class Adam:
             if norm > self.clip:
                 scale = self.clip / (norm + 1e-12)
                 grads = {k: g * scale for k, g in grads.items()}
-        b1t = 1.0 - self.b1 ** self.t
-        b2t = 1.0 - self.b2 ** self.t
+        b1, b2 = 0.9, 0.999
+        b1t = 1.0 - b1 ** self.t
+        b2t = 1.0 - b2 ** self.t
         for k, g in grads.items():
             p = self.params[k]
             m, v = self.m[k], self.v[k]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + 1e-8)
 
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
 
 
-def sinusoidal_embedding(t, dim, max_period=10000.0):
+def sinusoidal_embedding(t, dim):
     """Timestep -> (len(t), dim) sin/cos features (plain ndarray, no grad)."""
     t = np.asarray(t, dtype=np.float64).reshape(-1)
     half = dim // 2
-    freqs = np.exp(-math.log(max_period) * np.arange(half) / half)
+    freqs = np.exp(-math.log(10000.0) * np.arange(half) / half)
     args = t[:, None] * freqs[None, :]
     return np.concatenate([np.sin(args), np.cos(args)], axis=1)
 

@@ -40,17 +40,17 @@ class GeneratedDemo:
 # Replay and proxies
 # ---------------------------------------------------------------------------
 
-def replay_actions(task, layout, actions, steps_per_action=data.SKIP):
+def replay_actions(task, layout, actions):
     """Open-loop replay of labeled per-subsampled-step actions.
 
-    Each labeled action runs for `steps_per_action` simulator steps at
-    1/steps_per_action magnitude, reproducing the net motion it encodes.
+    Each labeled action runs for data.SKIP simulator steps at 1/data.SKIP
+    magnitude, reproducing the net motion it encodes.
     """
     state, _ = env.reset_from_layout(task, layout)
-    scale = 1.0 / steps_per_action
+    scale = 1.0 / data.SKIP
     for a in np.asarray(actions, dtype=np.float64):
         sub = np.array([a[0] * scale, a[1] * scale, a[2] * scale])
-        for _ in range(steps_per_action):
+        for _ in range(data.SKIP):
             state, suc = env.step_state(state, sub)
             if suc:
                 return True, state
@@ -60,15 +60,13 @@ def replay_actions(task, layout, actions, steps_per_action=data.SKIP):
 class VariantClassifier(nn.Module):
     """Frame-level patch encoder + 16-way variant head (video = frame mean)."""
 
-    def __init__(self, rng=None, d=48, dtype=np.float32):
+    def __init__(self, rng=None, d=48):
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.encoder = FrameEncoder(d, rng, blocks=1, dtype=dtype)
-        self.head = nn.Linear(d, len(env.TASK_IDS), rng, dtype=dtype)
+        self.encoder = FrameEncoder(d, rng, blocks=1)
+        self.head = nn.Linear(d, len(env.TASK_IDS), rng)
 
     def __call__(self, frames):
         """frames (B, 64, 64, 3) in [-1,1] -> (B, 16) logits."""
-        if isinstance(frames, np.ndarray):
-            frames = nn.Tensor(frames.astype(np.float32, copy=False))
         return self.head(self.encoder(frames))
 
     def predict_video(self, video):
@@ -79,7 +77,7 @@ class VariantClassifier(nn.Module):
         return env.TASK_IDS[int(np.argmax(logits))]
 
 
-def train_variant_classifier(videos_by_task, steps=800, batch=48, lr=1e-3, seed=0):
+def train_variant_classifier(videos_by_task, steps=800, seed=0):
     """Fit the consistency-proxy classifier on expert videos of all variants."""
     ids = list(env.TASK_IDS)
     frames, labels = [], []
@@ -92,30 +90,32 @@ def train_variant_classifier(videos_by_task, steps=800, batch=48, lr=1e-3, seed=
     labels = np.concatenate(labels)
     rng = np.random.default_rng(seed)
     model = VariantClassifier(np.random.default_rng(seed + 1))
-    opt = nn.Adam(model.params(), lr=lr)
-    for _ in range(steps):
-        pick = rng.integers(0, len(frames), size=batch)
+    opt = nn.Adam(model.params(), lr=1e-3)
+    for it in range(steps):
+        pick = rng.integers(0, len(frames), size=48)
         x = data.to_unit(frames[pick])
         x += rng.normal(0.0, 0.05, size=x.shape).astype(np.float32)
         loss = nn.cross_entropy(model(x), labels[pick])
+        if not np.isfinite(float(loss.data)):
+            raise RuntimeError(f"numerical divergence at step {it}")
         model.zero_grad()
         loss.backward()
         opt.step()
     return model
 
 
-def quality_proxies(demo, classifier, kinematic_slack=1.5):
+def quality_proxies(demo, classifier):
     """Automated stand-ins for the human rating criteria.
 
     replay_success: labeled actions solve the demo's own layout.
-    plausible: per-step motion within kinematic slack and pixels in range.
+    plausible: per-step motion within 1.5 * env.STEP and pixels in range.
     consistent: the variant classifier recognizes the demo's task.
     """
     if demo.actions is None or len(demo.actions) == 0:
         raise ValueError("unlabeled demo")
     replay_ok, _ = replay_actions(demo.task_id, demo.layout, demo.actions)
     max_disp = float(np.abs(np.asarray(demo.actions)[:, :2]).max()) * env.STEP
-    plausible = bool(max_disp <= kinematic_slack * env.STEP
+    plausible = bool(max_disp <= 1.5 * env.STEP
                      and demo.video.dtype == np.uint8
                      and demo.video.min() >= 0 and demo.video.max() <= 255)
     consistent = classifier.predict_video(demo.video) == demo.task_id if classifier is not None else False
@@ -175,7 +175,7 @@ def generate_demonstrations(task, n_demos, dvg_model, idm_model, schedule,
     return demos
 
 
-def demos_to_episodes(demos, steps_per_action=data.SKIP):
+def demos_to_episodes(demos):
     """Generated demos -> BC episodes at the simulator-rate action scale."""
     out = []
     cache = {}
@@ -185,7 +185,7 @@ def demos_to_episodes(demos, steps_per_action=data.SKIP):
         out.append(pol_mod.BCEpisode(
             task_id=d.task_id,
             frames=d.video,
-            actions=(np.asarray(d.actions, dtype=np.float32) / steps_per_action),
+            actions=(np.asarray(d.actions, dtype=np.float32) / data.SKIP),
             prompt_emb=cache[d.task_id],
             history_stride=1,  # adjacent video frames are 3 sim steps apart
         ))

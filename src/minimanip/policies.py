@@ -8,7 +8,7 @@ subsampled rate of generated demonstrations). Both emit 3 x 256 bin logits.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,10 @@ from .inverse_dynamics import FrameEncoder, PatchStem
 
 HISTORY = 6
 HISTORY_STRIDE = 3
+LR, LR_FINAL = 1e-3, 2e-4   # cosine-decayed from LR to LR_FINAL over training
+AUG_NOISE = 0.04            # Gaussian noise in [-1,1] frame units
+AUG_SHIFT = 6               # random frame shift (px); actions depend only
+                            # on relative geometry, so labels are preserved
 
 
 class SingleFramePolicy(nn.Module):
@@ -24,22 +28,20 @@ class SingleFramePolicy(nn.Module):
 
     arch = "lcbc"
 
-    def __init__(self, rng=None, d=64, blocks=2, text_dim=32, dtype=np.float32):
+    def __init__(self, rng=None, d=64, blocks=2):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.d = d
-        self.stem = PatchStem(d, rng, dtype=dtype)
-        self.prompt_fc = nn.Linear(text_dim, d, rng, dtype=dtype)
-        self.blocks = [nn.TransformerBlock(d, rng, dtype=dtype) for _ in range(blocks)]
-        self.head = nn.Linear(d, 3 * 256, rng, dtype=dtype)
+        self.stem = PatchStem(d, rng)
+        self.prompt_fc = nn.Linear(prompts.EMBED_DIM, d, rng)
+        self.blocks = [nn.TransformerBlock(d, rng) for _ in range(blocks)]
+        self.head = nn.Linear(d, 3 * 256, rng)
 
     def __call__(self, frames, prompt_emb):
         """frames (B, 64, 64, 3) in [-1,1]; prompt_emb (B, 32) -> (B, 3, 256)."""
-        if isinstance(frames, np.ndarray):
-            frames = nn.Tensor(frames.astype(np.float32, copy=False))
         b = frames.shape[0]
         tokens = self.stem(frames)
-        ptok = self.prompt_fc(nn.Tensor(np.asarray(prompt_emb, dtype=np.float32))).reshape(b, 1, self.d)
-        h = nn.concat([ptok, tokens], axis=1)
+        ptok = nn.Tensor(np.asarray(prompt_emb, dtype=self.prompt_fc.w.dtype))
+        h = nn.concat([self.prompt_fc(ptok).reshape(b, 1, self.d), tokens], axis=1)
         for blk in self.blocks:
             h = blk(h)
         pooled = nn.take(h, 0)  # the prompt token acts as a task-conditioned query
@@ -51,31 +53,29 @@ class HistoryPolicy(nn.Module):
 
     arch = "rt1"
 
-    def __init__(self, rng=None, d=64, blocks=2, history=HISTORY, text_dim=32, dtype=np.float32):
+    def __init__(self, rng=None, d=64, blocks=2, history=HISTORY):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.d = d
         self.history = history
-        self.encoder = FrameEncoder(d, rng, blocks=1, dtype=dtype)
-        self.prompt_fc = nn.Linear(text_dim, d, rng, dtype=dtype)
-        self.tpos = nn.Param((0.3 * rng.normal(size=(history + 1, d))).astype(dtype))
-        self.blocks = [nn.TransformerBlock(d, rng, causal=True, dtype=dtype) for _ in range(blocks)]
-        self.head = nn.Linear(d, 3 * 256, rng, dtype=dtype)
+        self.encoder = FrameEncoder(d, rng, blocks=1)
+        self.prompt_fc = nn.Linear(prompts.EMBED_DIM, d, rng)
+        self.tpos = nn.Param((0.3 * rng.normal(size=(history + 1, d))).astype(np.float32))
+        self.blocks = [nn.TransformerBlock(d, rng, causal=True) for _ in range(blocks)]
+        self.head = nn.Linear(d, 3 * 256, rng)
 
     def decode(self, emb, prompt_emb):
         """Encoder embeddings (B, k, d) of the last k frames, oldest first -> (B, 3, 256)."""
         b, k = emb.shape[0], emb.shape[1]
         if k != self.history:
             raise ValueError("history length mismatch")
-        ptok = self.prompt_fc(nn.Tensor(np.asarray(prompt_emb, dtype=np.float32))).reshape(b, 1, self.d)
-        h = nn.concat([ptok, emb], axis=1) + self.tpos
+        ptok = nn.Tensor(np.asarray(prompt_emb, dtype=self.prompt_fc.w.dtype))
+        h = nn.concat([self.prompt_fc(ptok).reshape(b, 1, self.d), emb], axis=1) + self.tpos
         for blk in self.blocks:
             h = blk(h)
         return self.head(nn.take(h, -1)).reshape(b, 3, 256)
 
     def __call__(self, frames, prompt_emb):
         """frames (B, k, 64, 64, 3) oldest-first in [-1,1] -> (B, 3, 256)."""
-        if isinstance(frames, np.ndarray):
-            frames = nn.Tensor(frames.astype(np.float32, copy=False))
         b, k = frames.shape[0], frames.shape[1]
         emb = self.encoder(frames.reshape(b * k, 64, 64, 3)).reshape(b, k, self.d)
         return self.decode(emb, prompt_emb)
@@ -135,16 +135,14 @@ def _grab_wait_mask(traj):
     return mask
 
 
-def episodes_from_trajectories(trajs, drop_grab_waits=True):
+def episodes_from_trajectories(trajs):
     cache = {}
     out = []
     for t in trajs:
         if t.task_id not in cache:
             cache[t.task_id] = prompts.embed_prompt(prompts.task_prompt(t.task_id))
-        ep = BCEpisode(t.task_id, t.frames, t.actions, cache[t.task_id])
-        if drop_grab_waits:
-            ep.skip_mask = _grab_wait_mask(t)
-        out.append(ep)
+        out.append(BCEpisode(t.task_id, t.frames, t.actions, cache[t.task_id],
+                             skip_mask=_grab_wait_mask(t)))
     return out
 
 
@@ -157,16 +155,9 @@ def _history_indices(t, k, stride, length):
 class BCConfig:
     steps: int = 1500
     batch: int = 32
-    lr: float = 1e-3
-    lr_final: float = 2e-4      # cosine-decayed to this
     seed: int = 0
     d: int = 64
     blocks: int = 2
-    noise_sigma: float = 0.04   # Gaussian noise in [-1,1] frame units
-    translate: int = 6          # random frame shift (px); actions depend only
-                                # on relative geometry, so labels are preserved
-    history: int = HISTORY
-    clip: float = 1.0
 
 
 def train_policy(arch, episodes, config=None, hook=None):
@@ -175,18 +166,15 @@ def train_policy(arch, episodes, config=None, hook=None):
     if not episodes:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(cfg.seed)
-    kw = {"d": cfg.d, "blocks": cfg.blocks}
-    if arch == "rt1":
-        kw["history"] = cfg.history
-    model = make_policy(arch, np.random.default_rng(cfg.seed + 1), **kw)
-    opt = nn.Adam(model.params(), lr=cfg.lr, clip=cfg.clip)
+    model = make_policy(arch, np.random.default_rng(cfg.seed + 1), d=cfg.d, blocks=cfg.blocks)
+    opt = nn.Adam(model.params(), lr=LR, clip=1.0)
 
     pairs = [(ei, t) for ei, ep in enumerate(episodes) for t in range(len(ep.actions))
              if ep.skip_mask is None or not ep.skip_mask[t]]
     pairs = np.asarray(pairs)
     targets_all = [data.discretize(np.clip(ep.actions, -1.0, 1.0)) for ep in episodes]
     log = []
-    k = cfg.history
+    k = HISTORY
     for it in range(cfg.steps):
         pick = pairs[rng.integers(0, len(pairs), size=cfg.batch)]
         prompt = np.stack([episodes[ei].prompt_emb for ei, _ in pick])
@@ -200,12 +188,10 @@ def train_policy(arch, episodes, config=None, hook=None):
                 idx = _history_indices(t, k, ep.history_stride, len(ep.frames))
                 obs[bi] = ep.frames[idx]
         obs = obs / 127.5 - 1.0
-        if cfg.translate > 0:
-            shifts = rng.integers(-cfg.translate, cfg.translate + 1, size=(cfg.batch, 2))
-            for bi in range(cfg.batch):
-                obs[bi] = np.roll(obs[bi], tuple(shifts[bi]), axis=(-3, -2))
-        if cfg.noise_sigma > 0:
-            obs += rng.normal(0.0, cfg.noise_sigma, size=obs.shape).astype(np.float32)
+        shifts = rng.integers(-AUG_SHIFT, AUG_SHIFT + 1, size=(cfg.batch, 2))
+        for bi in range(cfg.batch):
+            obs[bi] = np.roll(obs[bi], tuple(shifts[bi]), axis=(-3, -2))
+        obs += rng.normal(0.0, AUG_NOISE, size=obs.shape).astype(np.float32)
         logits = model(obs, prompt)
         loss = bc_loss(logits, tgt)
         val = float(loss.data)
@@ -214,7 +200,7 @@ def train_policy(arch, episodes, config=None, hook=None):
         model.zero_grad()
         loss.backward()
         opt.step()
-        opt.lr = cfg.lr_final + 0.5 * (cfg.lr - cfg.lr_final) * (1 + np.cos(np.pi * (it + 1) / cfg.steps))
+        opt.lr = LR_FINAL + 0.5 * (LR - LR_FINAL) * (1 + np.cos(np.pi * (it + 1) / cfg.steps))
         log.append(val)
         if hook is not None:
             hook(it, val)
@@ -225,20 +211,17 @@ def train_policy(arch, episodes, config=None, hook=None):
 # Closed-loop evaluation
 # ---------------------------------------------------------------------------
 
-def rollout_many(model, task_seed_pairs, max_steps=env.MAX_STEPS, prompt_embs=None):
+def rollout_many(model, task_seed_pairs, max_steps=env.MAX_STEPS):
     """Greedy closed-loop rollouts, stepped in lockstep across episodes.
 
     Returns a success flag per (task, seed) pair.
     """
     n = len(task_seed_pairs)
-    if prompt_embs is None:
-        cache = {}
-        embs = []
-        for tid, _ in task_seed_pairs:
-            if tid not in cache:
-                cache[tid] = prompts.embed_prompt(prompts.task_prompt(tid))
-            embs.append(cache[tid])
-        prompt_embs = np.stack(embs)
+    cache = {}
+    for tid, _ in task_seed_pairs:
+        if tid not in cache:
+            cache[tid] = prompts.embed_prompt(prompts.task_prompt(tid))
+    prompt_embs = np.stack([cache[tid] for tid, _ in task_seed_pairs])
     states, frames = [], []
     for tid, seed in task_seed_pairs:
         s, f = env.reset(tid, seed)

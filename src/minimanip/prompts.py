@@ -14,15 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import env
+from .data import VIDEO_FRAMES
 
 EMBED_DIM = 32
-_LEXICON_PATH = os.path.join(os.path.dirname(__file__), "lexicon.txt")
 
 
-def load_lexicon(path=_LEXICON_PATH):
-    """Ordered (kind, token) pairs from a lexicon file."""
+def load_lexicon():
+    """Ordered (kind, token) pairs from the packaged lexicon file."""
     entries = []
-    with open(path, encoding="utf-8") as f:
+    with open(os.path.join(os.path.dirname(__file__), "lexicon.txt"), encoding="utf-8") as f:
         for line in f:
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -55,12 +55,11 @@ class PoseSequence:
 # Keywords and expansion
 # ---------------------------------------------------------------------------
 
-def extract_keywords(text, lexicon=None):
+def extract_keywords(text):
     """Lexicon matches in order of appearance; overlaps resolved longest-first."""
-    lexicon = _LEXICON if lexicon is None else lexicon
     low = text.lower()
     candidates = []
-    for kind, token in lexicon:
+    for kind, token in _LEXICON:
         for m in re.finditer(r"(?<!\w)" + re.escape(token) + r"(?!\w)", low):
             candidates.append((m.start(), -len(token), token, kind))
     candidates.sort()
@@ -100,45 +99,45 @@ def expand_prompt(text):
 # Embeddings
 # ---------------------------------------------------------------------------
 
-def _token_vector(token, dim=EMBED_DIM):
+def _token_vector(token):
     rng = np.random.default_rng([env._hash64("lexicon-embed"), env._hash64(token)])
-    return rng.normal(0.0, 1.0, size=dim) / np.sqrt(dim)
+    return rng.normal(0.0, 1.0, size=EMBED_DIM) / np.sqrt(EMBED_DIM)
 
 
 _RESERVED = None
 
 
-def _reserved_vector(dim=EMBED_DIM):
+def _reserved_vector():
     global _RESERVED
-    if _RESERVED is None or len(_RESERVED) != dim:
-        v = _token_vector("__no_keywords__", dim)
+    if _RESERVED is None:
+        v = _token_vector("__no_keywords__")
         _RESERVED = v / np.linalg.norm(v)
     return _RESERVED
 
 
-def embed_text(text, dim=EMBED_DIM):
+def embed_text(text):
     """Unit-norm mean of hashed token vectors over keyword occurrences."""
     tokens = [tok for _, tok in extract_keywords(text)]
     if not tokens:
-        return _reserved_vector(dim).copy()
-    v = np.mean([_token_vector(t, dim) for t in tokens], axis=0)
+        return _reserved_vector().copy()
+    v = np.mean([_token_vector(t) for t in tokens], axis=0)
     n = np.linalg.norm(v)
     if n < 1e-12:
-        return _reserved_vector(dim).copy()
+        return _reserved_vector().copy()
     return v / n
 
 
-def embed_prompt(prompt, dim=EMBED_DIM):
+def embed_prompt(prompt):
     """Embedding of an ExpandedPrompt (or raw string)."""
     text = prompt.expanded if isinstance(prompt, ExpandedPrompt) else str(prompt)
-    return embed_text(text, dim)
+    return embed_text(text)
 
 
-def similarity_matrix(prompts, dim=EMBED_DIM):
+def similarity_matrix(prompts):
     """Pairwise cosine similarities of prompt embeddings."""
     if len(prompts) < 2:
         raise ValueError("need at least two prompts")
-    embs = np.stack([embed_prompt(p, dim) for p in prompts])
+    embs = np.stack([embed_prompt(p) for p in prompts])
     return embs @ embs.T
 
 
@@ -154,12 +153,12 @@ def task_prompt(task):
 POSE_STEP = 0.05  # workspace units per pose step; equals 3 expert sim steps
 
 
-def plan_pose(task, layout, length=36):
+def plan_pose(task, layout):
     """Scripted gripper track for a layout, paced at the video frame rate.
 
     Walks the family waypoint plan axis-by-axis at POSE_STEP per pose, then
-    holds the final pose; the result always has exactly `length` poses and
-    its endpoint satisfies the task's goal geometry.
+    holds the final pose; the result always has exactly VIDEO_FRAMES poses
+    and its endpoint satisfies the task's goal geometry.
     """
     task = env.get_task(task)
     legs = env.waypoint_plan(task, layout)
@@ -175,11 +174,11 @@ def plan_pose(task, layout, length=36):
             positions.append(pos.copy())
             closed.append(grip)
             guard += 1
-            if guard > 4 * length:
+            if guard > 4 * VIDEO_FRAMES:
                 raise ValueError("plan too long for the pose budget")
-    if len(positions) > length:
-        raise ValueError(f"plan needs {len(positions)} poses, budget is {length}")
-    while len(positions) < length:
+    if len(positions) > VIDEO_FRAMES:
+        raise ValueError(f"plan needs {len(positions)} poses, budget is {VIDEO_FRAMES}")
+    while len(positions) < VIDEO_FRAMES:
         positions.append(pos.copy())
         closed.append(closed[-1])
     return PoseSequence(positions=np.asarray(positions, dtype=np.float64),

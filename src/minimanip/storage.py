@@ -30,42 +30,58 @@ def read_exact(f, n, path):
     return buf
 
 
+def _read_u32s(f, count, path):
+    """Read count little-endian u32 values."""
+    return [int(v) for v in np.frombuffer(read_exact(f, 4 * count, path), dtype="<u4")]
+
+
+def _write_u32s(f, values):
+    f.write(np.asarray(values, dtype="<u4").tobytes())
+
+
+def read_header(f, magic, count, path, kind):
+    """Check the 8-byte magic of a `kind` file, then read its count u32 fields."""
+    if f.read(8) != magic:
+        raise ValueError(f"bad {kind} magic in {path}")
+    return _read_u32s(f, count, path)
+
+
+def write_header(f, magic, fields):
+    """Write the 8-byte magic, then the u32 header fields."""
+    f.write(magic)
+    _write_u32s(f, fields)
+
+
 def save_checkpoint(path, state, meta):
     """Write named float tensors and a metadata dict."""
     meta_blob = json.dumps(meta, sort_keys=True).encode()
     with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(np.asarray([VERSION, len(meta_blob)], dtype="<u4").tobytes())
+        write_header(f, CKPT_MAGIC, [VERSION, len(meta_blob)])
         f.write(meta_blob)
-        f.write(np.asarray([len(state)], dtype="<u4").tobytes())
+        _write_u32s(f, [len(state)])
         for name in sorted(state):
             arr = np.ascontiguousarray(state[name], dtype="<f4")
             nb = name.encode()
-            f.write(np.asarray([len(nb)], dtype="<u4").tobytes())
+            _write_u32s(f, [len(nb)])
             f.write(nb)
-            f.write(np.asarray([arr.ndim] + list(arr.shape), dtype="<u4").tobytes())
+            _write_u32s(f, [arr.ndim] + list(arr.shape))
             f.write(arr.tobytes())
 
 
 def load_checkpoint(path):
     """Read (state dict, metadata dict)."""
     with open(path, "rb") as f:
-        if f.read(8) != CKPT_MAGIC:
-            raise ValueError(f"bad checkpoint magic in {path}")
-        def u32s(count):
-            return [int(v) for v in np.frombuffer(read_exact(f, 4 * count, path), dtype="<u4")]
-
-        version, meta_len = u32s(2)
+        version, meta_len = read_header(f, CKPT_MAGIC, 2, path, "checkpoint")
         if version != VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         meta = json.loads(read_exact(f, meta_len, path).decode())
         state = {}
-        (count,) = u32s(1)
+        (count,) = _read_u32s(f, 1, path)
         for _ in range(count):
-            (name_len,) = u32s(1)
+            (name_len,) = _read_u32s(f, 1, path)
             name = read_exact(f, name_len, path).decode()
-            (ndim,) = u32s(1)
-            shape = tuple(u32s(ndim))
+            (ndim,) = _read_u32s(f, 1, path)
+            shape = tuple(_read_u32s(f, ndim, path))
             n = int(np.prod(shape)) if shape else 1
             state[name] = np.frombuffer(read_exact(f, 4 * n, path), dtype="<f4").reshape(shape).copy()
     return state, meta

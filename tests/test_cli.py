@@ -38,10 +38,14 @@ def test_collect_label_eval_chain(tmp_path, capsys):
     ("pass_threshold=half", "config key pass_threshold: 'half' is not a valid float"),
     ("mixed_data", "cfg.txt:2: expected key=value, got 'mixed_data'"),
     ("dvg_stepz=3", "unknown config key: dvg_stepz"),
-], ids=["bool", "int", "float", "no-equals", "unknown-key"])
+    ("folds=1,x", "config key folds: 'x' is not a valid int"),
+    ("dvg_channels=12, 24, 4.8", "config key dvg_channels: '4.8' is not a valid int"),
+    ("dvg_channels=12, 24, 48", "dvg_channels=(12, 24, 48),"),
+], ids=["bool", "int", "float", "no-equals", "unknown-key", "tuple-item", "tuple-item-float",
+        "tuple-accepted"])
 def test_crossval_config_errors_name_the_key(tmp_path, monkeypatch, line, message):
-    def run_crossval(*args, **kwargs):  # a config that parses must not start a run here
-        raise AssertionError("config accepted")
+    def run_crossval(config, **kwargs):  # a config that parses must not start a run here
+        raise SystemExit(f"config accepted: {config}")
 
     monkeypatch.setattr(pipeline, "run_crossval", run_crossval)
     cfg = tmp_path / "cfg.txt"

@@ -191,7 +191,7 @@ def test_label_video_too_short(tiny_model):
 
 def test_gradcheck_miniature_idm():
     model = idm.ActionDecoder(np.random.default_rng(0), d=8, window=3,
-                              frame_blocks=1, temporal_blocks=1, dtype=np.float64)
+                              frame_blocks=1, temporal_blocks=1).astype(np.float64)
     rng = np.random.default_rng(1)
     frames = rng.random((1, 3, 64, 64, 3))
     targets = rng.integers(0, 256, size=(1, 2, 3))

@@ -79,13 +79,13 @@ def test_upsample_and_silu_grad():
 
 def test_attention_block_grad():
     rng = np.random.default_rng(7)
-    blk = nn.TransformerBlock(6, rng, dtype=np.float64)
+    blk = nn.TransformerBlock(6, rng).astype(np.float64)
     _gradcheck_input(lambda x: nn.mse(blk(x), 0.0), rng.normal(size=(2, 4, 6)), tol=1e-5)
 
 
 def test_causal_attention_masks_future():
     rng = np.random.default_rng(8)
-    attn = nn.SelfAttention(4, rng, causal=True, dtype=np.float64)
+    attn = nn.SelfAttention(4, rng, causal=True).astype(np.float64)
     x1 = rng.normal(size=(1, 5, 4))
     x2 = x1.copy()
     x2[0, -1] += 10.0  # only the last token changes
@@ -124,7 +124,7 @@ def test_grad_accumulation_two_uses():
 
 def test_no_grad_records_no_tape():
     rng = np.random.default_rng(11)
-    lin = nn.Linear(3, 2, rng, dtype=np.float64)
+    lin = nn.Linear(3, 2, rng).astype(np.float64)
     with nn.no_grad():
         y = nn.relu(lin(nn.Tensor(rng.normal(size=(4, 3)))))
         z = lin.w * 2.0
@@ -149,7 +149,7 @@ def test_no_grad_restores_flag():
 
 def test_backward_after_no_grad_inference():
     rng = np.random.default_rng(12)
-    lin = nn.Linear(3, 2, rng, dtype=np.float64)
+    lin = nn.Linear(3, 2, rng).astype(np.float64)
     x = rng.normal(size=(4, 3))
 
     def grads():

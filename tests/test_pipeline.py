@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from minimanip import data, env, pipeline, prompts, storage
+from minimanip import data, diffusion, env, nn, pipeline, policies, prompts, storage
+from minimanip import inverse_dynamics as idm
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +143,86 @@ def test_config_hash_stable():
     assert c1.hash() == c2.hash()
     c3 = pipeline.CrossvalConfig(seed=1)
     assert c3.hash() != c1.hash()
+
+
+
+def _nan_loss(*args, **kwargs):
+    return nn.Tensor(np.array(np.nan, dtype=np.float32))
+
+
+def _train_dvg_one_step():
+    video = np.zeros((36, 64, 64, 3), dtype=np.uint8)
+    pose = np.zeros((36, 64, 64, 1), dtype=np.uint8)
+    diffusion.train_dvg([(video, "button press", pose)],
+                        diffusion.DvgConfig(steps=1, batch=1, T=20, channels=(2, 3, 4)))
+
+
+def _train_idm_one_step():
+    packed = (np.zeros((1, 36, 64, 64, 3), dtype=np.uint8), np.zeros((1, 35, 3), dtype=np.int64),
+              np.array([[0, 0]]))
+    idm.train_idm(packed, idm.IdmConfig(steps=1, batch=1, d=8, window=3))
+
+
+def _train_policy_one_step():
+    ep = policies.BCEpisode("reach", np.zeros((2, 64, 64, 3), dtype=np.uint8),
+                            np.zeros((1, 3), dtype=np.float32), np.zeros(prompts.EMBED_DIM))
+    policies.train_policy("lcbc", [ep], policies.BCConfig(steps=1, batch=1, d=8, blocks=1))
+
+
+def _train_classifier_one_step():
+    pipeline.train_variant_classifier({"reach": [np.zeros((2, 64, 64, 3), dtype=np.uint8)]}, steps=1)
+
+
+@pytest.mark.parametrize("loss,train", [
+    ("mse", _train_dvg_one_step),
+    ("cross_entropy", _train_idm_one_step),
+    ("cross_entropy", _train_policy_one_step),
+    ("cross_entropy", _train_classifier_one_step),
+], ids=["train_dvg", "train_idm", "train_policy", "train_variant_classifier"])
+def test_training_fails_fast_on_nan_loss(monkeypatch, loss, train):
+    monkeypatch.setattr(nn, loss, _nan_loss)
+    with pytest.raises(RuntimeError, match="numerical divergence at step 0"):
+        train()
+
+
+def _denoise(model):
+    v = np.zeros((1, 2, 64, 64, 3), dtype=np.float32)
+    pose = np.zeros((1, 2, 64, 64, 1), dtype=np.float32)
+    text = np.zeros((1, prompts.EMBED_DIM), dtype=np.float32)
+    return model(v, np.array([3]), text, model.pose_features(pose), 10)
+
+
+_PROMPT = np.zeros((1, prompts.EMBED_DIM), dtype=np.float32)
+
+
+def _frames(*lead):
+    return np.zeros(lead + (64, 64, 3), dtype=np.float32)
+
+
+@pytest.mark.parametrize("build,forward", [
+    (lambda rng: diffusion.VideoDenoiser(rng, channels=(2, 3, 4), cond_dim=8, frames=2), _denoise),
+    (lambda rng: idm.ActionDecoder(rng, d=8, window=3, frame_blocks=1, temporal_blocks=1),
+     lambda m: m(_frames(1, 3))),
+    (lambda rng: policies.SingleFramePolicy(rng, d=8, blocks=1), lambda m: m(_frames(1), _PROMPT)),
+    (lambda rng: policies.HistoryPolicy(rng, d=8, blocks=1, history=2),
+     lambda m: m(_frames(1, 2), _PROMPT)),
+    (lambda rng: pipeline.VariantClassifier(rng, d=8), lambda m: m(_frames(1))),
+], ids=["VideoDenoiser", "ActionDecoder", "SingleFramePolicy", "HistoryPolicy", "VariantClassifier"])
+def test_astype_sets_parameter_and_forward_dtype(monkeypatch, build, forward):
+    """float32 inputs run in the parameters' dtype: every op output, not just the last."""
+    made = []
+    make = nn._make
+
+    def recording_make(data, *args, **kwargs):
+        made.append(data.dtype)
+        return make(data, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "_make", recording_make)
+    model = build(np.random.default_rng(0))
+    for dtype in (np.float32, np.float64):  # as built, then converted
+        if dtype == np.float64:
+            assert model.astype(dtype) is model
+        assert {p.dtype for p in model.params().values()} == {np.dtype(dtype)}
+        made.clear()
+        assert forward(model).dtype == dtype
+        assert set(made) == {np.dtype(dtype)}
