@@ -74,7 +74,7 @@ def _cmd_sample(args):
     schedule = diffusion.build_schedule(args.T, args.kind)
     task = env.get_task(args.task)
     os.makedirs(args.out, exist_ok=True)
-    text = prompts.embed_prompt(prompts.task_prompt(task))
+    text = prompts.task_embedding(task)
     for m in range(args.count):
         layout = env.sample_layout(task, args.seed + m)
         poses = prompts.plan_pose(task, layout)

@@ -317,13 +317,7 @@ def gripper_pose_track(traj):
 def subsampled_pose_track(traj):
     """Pose track at the video frame rate, padded like subsample_frames."""
     positions, closed = gripper_pose_track(traj)
-    pos = positions[::SKIP][:VIDEO_FRAMES]
-    clo = closed[::SKIP][:VIDEO_FRAMES]
-    if len(pos) < VIDEO_FRAMES:
-        pad = VIDEO_FRAMES - len(pos)
-        pos = np.concatenate([pos, np.repeat(pos[-1:], pad, axis=0)])
-        clo = np.concatenate([clo, np.repeat(clo[-1:], pad)])
-    return pos, clo
+    return subsample_frames(positions), subsample_frames(closed)
 
 
 # ---------------------------------------------------------------------------

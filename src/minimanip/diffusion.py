@@ -286,13 +286,7 @@ def train_dvg(dataset, config=None, hook=None):
         v_t = forward_diffuse(v0, t_idx, eps, sched)
         feats = model.pose_features(pose[idx])
         pred = model(v_t, t_idx, text[idx], feats, sched.T)
-        loss = nn.mse(pred, eps)
-        val = float(loss.data)
-        if not np.isfinite(val):
-            raise RuntimeError(f"numerical divergence at step {it}")
-        model.zero_grad()
-        loss.backward()
-        opt.step()
+        val = opt.minimize(nn.mse(pred, eps), it)
         log.append(val)
         if hook is not None:
             hook(it, val)

@@ -5,11 +5,17 @@ action step and interacts quasi-statically with one articulated object per
 scene (press, dwell, drag, hinge, slide). Frames are 64x64x3 uint8 renders
 that are a pure function of state. Scripted experts and the waypoint planner
 share the same family geometry, so planned pose tracks are executable.
+
+Mechanisms are tables, not per-family code: `_GOAL` names each variant's goal
+scalar, threshold and direction; `_SPAN` and `_MARGIN` give each family's
+scalar range and the margin its plans aim past the threshold; door and faucet
+are `_HINGE`s (pivot plus arm sign), drawer, plate and window are `_SLIDE`s
+(base plus unit axis).
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,15 +53,56 @@ CONFIG = {
     "window": {"ext_max": 0.15, "open_goal": 0.12, "close_goal": 0.022},
 }
 
+# variant -> (layout scalar, CONFIG threshold key, direction of the goal: the
+# scalar must reach the threshold from below (+1) or from above (-1))
+_GOAL = {
+    "button-press": ("depth", "depth_goal", 1.0),
+    "button-press-wall": ("depth", "depth_goal", 1.0),
+    "reach": ("charge", "charge_goal", 1.0),
+    "reach-wall": ("charge", "charge_goal", 1.0),
+    "door-close": ("angle", "close_goal", -1.0),
+    "door-open": ("angle", "open_goal", 1.0),
+    "drawer-open": ("ext", "open_goal", 1.0),
+    "drawer-close": ("ext", "close_goal", -1.0),
+    "faucet-open": ("angle", "open_goal", 1.0),
+    "faucet-close": ("angle", "close_goal", -1.0),
+    "plate-slide": ("slide", "fwd_goal", 1.0),
+    "plate-slide-back": ("slide", "back_goal", -1.0),
+    "window-open": ("ext", "open_goal", 1.0),
+    "window-close": ("ext", "close_goal", -1.0),
+}
+
+# family -> (lo, hi) range of its goal scalar
+_SPAN = {
+    "button": (0.0, CONFIG["button"]["depth_max"]),
+    "door": (0.0, CONFIG["door"]["angle_max"]),
+    "drawer": (0.0, CONFIG["drawer"]["ext_max"]),
+    "faucet": (-CONFIG["faucet"]["angle_lim"], CONFIG["faucet"]["angle_lim"]),
+    "plate": (0.0, CONFIG["plate"]["slide_max"]),
+    "window": (0.0, CONFIG["window"]["ext_max"]),
+}
+
+# family -> how far past its threshold plans and the expert drive the scalar
+_MARGIN = {"button": 0.006, "door": 0.06, "drawer": 0.008, "faucet": 0.06, "plate": 0.01, "window": 0.008}
+
+# hinge family -> (pivot position, arm sign): the arm at angle t points along
+# (sin t, sign * cos t)
+_HINGE = {"door": ("hinge", -1.0), "faucet": ("center", 1.0)}
+
+# slide family -> (base position, unit axis the goal scalar extends along)
+_SLIDE = {
+    "drawer": ("face", np.array([0.0, -1.0])),  # pulls out downward
+    "plate": ("slot", np.array([1.0, 0.0])),
+    "window": ("frame", np.array([0.0, 1.0])),
+}
+
 
 @dataclass(frozen=True)
 class TaskSpec:
     task_id: str
     family: str
-    variant: str
     fold: int
     description: str
-    layout_ranges: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -162,10 +209,7 @@ def _build_registry():
     reg = {}
     for family, v1, v2 in _VARIANTS:
         for fold, vid in ((1, v1), (2, v2)):
-            reg[vid] = TaskSpec(
-                task_id=vid, family=family, variant=vid, fold=fold,
-                description=_DESCRIPTIONS[vid], layout_ranges=_RANGES[vid],
-            )
+            reg[vid] = TaskSpec(task_id=vid, family=family, fold=fold, description=_DESCRIPTIONS[vid])
     return reg
 
 
@@ -183,10 +227,13 @@ def get_task(task_id):
 
 
 def write_registry(path):
-    """Export the task registry as a tab-separated UTF-8 file."""
+    """Export the task registry as a tab-separated UTF-8 file.
+
+    Each task is its own variant, so the variant column repeats the task id.
+    """
     lines = ["task_id\tfamily\tvariant\tfold\tdescription"]
     for t in REGISTRY.values():
-        lines.append(f"{t.task_id}\t{t.family}\t{t.variant}\t{t.fold}\t{t.description}")
+        lines.append(f"{t.task_id}\t{t.family}\t{t.task_id}\t{t.fold}\t{t.description}")
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -204,49 +251,30 @@ def _sample_pos(rng, ranges):
 
 
 def sample_layout(task, seed):
+    """Draw the grip start, then every `_RANGES` entry in order.
+
+    A position entry draws x then y; a scalar entry draws one value. A goal
+    scalar without a range (press depth, dwell charge) starts at 0.
+    """
     task = get_task(task)
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, _hash64(task.task_id)])
     r = _RANGES[task.task_id]
     pos, sca = {}, {}
     gx = r.get("grip_x", _GRIP_START["x"])
     pos["grip_start"] = np.array([_unif(rng, gx), _unif(rng, _GRIP_START["y"])])
-    fam = task.family
-    if fam == "button":
-        pos["button"] = _sample_pos(rng, r["button"])
-        sca["depth"] = 0.0
-    elif fam == "reach":
-        pos["target"] = _sample_pos(rng, r["target"])
-        sca["charge"] = 0.0
-    elif fam == "push":
-        pos["puck"] = _sample_pos(rng, r["puck"])
-        pos["zone"] = _sample_pos(rng, r["zone"])
-    elif fam == "door":
-        pos["hinge"] = _sample_pos(rng, r["hinge"])
-        sca["angle"] = _unif(rng, r["angle"])
-    elif fam == "drawer":
-        pos["face"] = _sample_pos(rng, r["face"])
-        sca["ext"] = _unif(rng, r["ext"])
-    elif fam == "faucet":
-        pos["center"] = _sample_pos(rng, r["center"])
-        sca["angle"] = _unif(rng, r["angle"])
-    elif fam == "plate":
-        pos["slot"] = _sample_pos(rng, r["slot"])
-        sca["slide"] = _unif(rng, r["slide"])
-    elif fam == "window":
-        pos["frame"] = _sample_pos(rng, r["frame"])
-        sca["ext"] = _unif(rng, r["ext"])
-    if "wall_x" in r:
-        sca["wall_x"] = _unif(rng, r["wall_x"])
-        sca["wall_top"] = _unif(rng, r["wall_top"])
+    for name, lo_hi in r.items():
+        if isinstance(lo_hi, dict):
+            pos[name] = _sample_pos(rng, lo_hi)
+        elif name != "grip_x":
+            sca[name] = _unif(rng, lo_hi)
+    if task.task_id in _GOAL:
+        sca.setdefault(_GOAL[task.task_id][0], 0.0)
     return WorkspaceLayout(positions=pos, scalars=sca, seed=int(seed))
 
 
 def reset(task, seed):
     """Sample a layout from `seed` and return (EnvState, Frame)."""
-    task = get_task(task)
-    layout = sample_layout(task, seed)
-    state = EnvState(task.task_id, layout.positions["grip_start"].copy(), False, layout, 0)
-    return state, render(state)
+    return reset_from_layout(task, sample_layout(task, seed))
 
 
 def reset_from_layout(task, layout):
@@ -260,61 +288,40 @@ def reset_from_layout(task, layout):
 # Mechanism geometry
 # ---------------------------------------------------------------------------
 
-def _button_axis(task_id):
-    # press direction (into the base) and outward unit vector
-    if task_id == "button-press":
-        return np.array([0.0, -1.0])
-    return np.array([1.0, 0.0])  # button-press-wall: base on the right wall
+# button variant -> press direction, into the base (button-press-wall's base is on the right wall)
+_PRESS_AXIS = {"button-press": np.array([0.0, -1.0]), "button-press-wall": np.array([1.0, 0.0])}
 
 
 def _button_tip(task_id, layout):
     c = CONFIG["button"]
-    out = -_button_axis(task_id)
+    out = -_PRESS_AXIS[task_id]
     return layout.positions["button"] + out * (c["plunger_len"] - layout.scalars["depth"])
 
 
-def _door_handle(layout):
-    c = CONFIG["door"]
-    th = layout.scalars["angle"]
-    return layout.positions["hinge"] + c["arm_len"] * np.array([np.sin(th), -np.cos(th)])
+def _arm_point(fam, layout, angle):
+    """End of a hinge family's arm at `angle`."""
+    pivot, sign = _HINGE[fam]
+    return layout.positions[pivot] + CONFIG[fam]["arm_len"] * np.array([np.sin(angle), sign * np.cos(angle)])
 
 
-def _faucet_handle(layout):
-    c = CONFIG["faucet"]
-    ph = layout.scalars["angle"]
-    return layout.positions["center"] + c["arm_len"] * np.array([np.sin(ph), np.cos(ph)])
-
-
-def _drawer_handle(layout):
-    return layout.positions["face"] + np.array([0.0, -layout.scalars["ext"]])
-
-
-def _plate_center(layout):
-    return layout.positions["slot"] + np.array([layout.scalars["slide"], 0.0])
-
-
-def _window_handle(layout):
-    return layout.positions["frame"] + np.array([0.0, layout.scalars["ext"]])
+def _slide_point(fam, layout, s):
+    """Handle of a slide family extended `s` along its axis."""
+    base, axis = _SLIDE[fam]
+    return layout.positions[base] + axis * s
 
 
 def handle_point(task_id, layout):
     """Current grasp point of the scene's articulated object."""
-    fam = get_task(task_id).family
+    task = get_task(task_id)
+    fam = task.family
     if fam == "button":
-        return _button_tip(task_id, layout)
+        return _button_tip(task.task_id, layout)
     if fam == "reach":
         return layout.positions["target"]
     if fam == "push":
         return layout.positions["puck"]
-    if fam == "door":
-        return _door_handle(layout)
-    if fam == "drawer":
-        return _drawer_handle(layout)
-    if fam == "faucet":
-        return _faucet_handle(layout)
-    if fam == "plate":
-        return _plate_center(layout)
-    return _window_handle(layout)
+    s = layout.scalars[_GOAL[task.task_id][0]]
+    return _arm_point(fam, layout, s) if fam in _HINGE else _slide_point(fam, layout, s)
 
 
 def _wall_rect(layout):
@@ -388,11 +395,11 @@ def step_state(state, action):
 
     if fam == "button":
         tip = _button_tip(task.task_id, state.layout)
-        axis_in = _button_axis(task.task_id)
+        axis_in = _PRESS_AXIS[task.task_id]
         lateral = (old_grip - tip) - np.dot(old_grip - tip, axis_in) * axis_in
         if engaged and np.linalg.norm(lateral) <= c["lateral_tol"]:
             adv = min(PRESS_RATE, max(0.0, float(np.dot(moved, axis_in))))
-            lay.scalars["depth"] = min(c["depth_max"], lay.scalars["depth"] + adv)
+            lay.scalars["depth"] = min(_SPAN["button"][1], lay.scalars["depth"] + adv)
         else:
             # spring-loaded: the plunger backs out when released
             lay.scalars["depth"] = max(0.0, lay.scalars["depth"] - c["spring"])
@@ -404,30 +411,16 @@ def step_state(state, action):
     elif fam == "push":
         if engaged:
             lay.positions["puck"] = np.clip(lay.positions["puck"] + moved, 0.03, 0.97)
-    elif fam == "door":
-        if engaged:
-            h = lay.positions["hinge"]
-            th_new = np.arctan2(g[0] - h[0], -(g[1] - h[1]))
-            dth = np.clip(th_new - lay.scalars["angle"], -HINGE_RATE, HINGE_RATE)
-            lay.scalars["angle"] = float(np.clip(lay.scalars["angle"] + dth, 0.0, c["angle_max"]))
-    elif fam == "drawer":
-        if engaged:
-            dext = np.clip(-moved[1], -PRISMATIC_RATE, PRISMATIC_RATE)  # pulls out downward
-            lay.scalars["ext"] = float(np.clip(lay.scalars["ext"] + dext, 0.0, c["ext_max"]))
-    elif fam == "faucet":
-        if engaged:
-            ctr = lay.positions["center"]
-            ph_new = np.arctan2(g[0] - ctr[0], g[1] - ctr[1])
-            dph = np.clip(ph_new - lay.scalars["angle"], -HINGE_RATE, HINGE_RATE)
-            lay.scalars["angle"] = float(np.clip(lay.scalars["angle"] + dph, -c["angle_lim"], c["angle_lim"]))
-    elif fam == "plate":
-        if engaged:
-            ds = np.clip(moved[0], -PRISMATIC_RATE, PRISMATIC_RATE)
-            lay.scalars["slide"] = float(np.clip(lay.scalars["slide"] + ds, 0.0, c["slide_max"]))
-    elif fam == "window":
-        if engaged:
-            dext = np.clip(moved[1], -PRISMATIC_RATE, PRISMATIC_RATE)
-            lay.scalars["ext"] = float(np.clip(lay.scalars["ext"] + dext, 0.0, c["ext_max"]))
+    elif engaged and fam in _HINGE:
+        pivot, sign = _HINGE[fam]
+        p = lay.positions[pivot]
+        t_new = np.arctan2(g[0] - p[0], sign * (g[1] - p[1]))
+        dt = np.clip(t_new - lay.scalars["angle"], -HINGE_RATE, HINGE_RATE)
+        lay.scalars["angle"] = float(np.clip(lay.scalars["angle"] + dt, *_SPAN[fam]))
+    elif engaged and fam in _SLIDE:
+        key = _GOAL[task.task_id][0]
+        ds = np.clip(moved @ _SLIDE[fam][1], -PRISMATIC_RATE, PRISMATIC_RATE)
+        lay.scalars[key] = float(np.clip(lay.scalars[key] + ds, *_SPAN[fam]))
 
     return new, success(new, task)
 
@@ -436,22 +429,11 @@ def success(state, task):
     """Pure per-family goal predicate."""
     task = get_task(task)
     lay, c = state.layout, CONFIG[task.family]
-    tid = task.task_id
-    if task.family == "button":
-        return lay.scalars["depth"] >= c["depth_goal"]
-    if task.family == "reach":
-        return lay.scalars["charge"] >= c["charge_goal"]
     if task.family == "push":
         return bool(np.linalg.norm(lay.positions["puck"] - lay.positions["zone"]) <= c["zone_tol"])
-    if task.family == "door":
-        return lay.scalars["angle"] <= c["close_goal"] if tid == "door-close" else lay.scalars["angle"] >= c["open_goal"]
-    if task.family == "drawer":
-        return lay.scalars["ext"] >= c["open_goal"] if tid == "drawer-open" else lay.scalars["ext"] <= c["close_goal"]
-    if task.family == "faucet":
-        return lay.scalars["angle"] >= c["open_goal"] if tid == "faucet-open" else lay.scalars["angle"] <= c["close_goal"]
-    if task.family == "plate":
-        return lay.scalars["slide"] >= c["fwd_goal"] if tid == "plate-slide" else lay.scalars["slide"] <= c["back_goal"]
-    return lay.scalars["ext"] >= c["open_goal"] if tid == "window-open" else lay.scalars["ext"] <= c["close_goal"]
+    scalar, key, sign = _GOAL[task.task_id]
+    v = lay.scalars[scalar]
+    return v >= c[key] if sign > 0 else v <= c[key]
 
 
 # ---------------------------------------------------------------------------
@@ -459,60 +441,25 @@ def success(state, task):
 # ---------------------------------------------------------------------------
 
 def _goal_with_margin(task):
-    """Target state of a press or slide mechanism, past its success threshold.
-
-    Button depth, drawer/window extension or plate slide; closing targets
-    are floored at zero.
-    """
-    tid, fam = task.task_id, task.family
-    c = CONFIG[fam]
-    if fam == "button":
-        return c["depth_goal"] + 0.006
-    if fam == "plate":
-        return c["fwd_goal"] + 0.01 if tid == "plate-slide" else max(0.0, c["back_goal"] - 0.01)
-    # drawer / window
-    opening = tid in ("drawer-open", "window-open")
-    return c["open_goal"] + 0.008 if opening else max(0.0, c["close_goal"] - 0.008)
+    """Target of a press, hinge or slide scalar: `_MARGIN` past its threshold, within `_SPAN`."""
+    _, key, sign = _GOAL[task.task_id]
+    return float(np.clip(CONFIG[task.family][key] + sign * _MARGIN[task.family], *_SPAN[task.family]))
 
 
 def _object_goal_track(task, layout):
-    """Grasp-phase gripper positions that carry the object to its goal.
+    """Grasp-phase gripper positions that carry a press, hinge or slide to its goal.
 
     Returns a list of positions along the articulation constraint, ending at
     a pose that satisfies the success predicate with margin.
     """
-    tid, fam = task.task_id, task.family
-    c = CONFIG[fam]
+    fam = task.family
     if fam == "button":
-        axis_in = _button_axis(tid)
-        tip = _button_tip(tid, layout)
-        travel = _goal_with_margin(task) - layout.scalars["depth"]
-        return [tip + axis_in * max(0.0, travel)]
-    if fam == "reach":
-        return [layout.positions["target"].copy()]
-    if fam == "push":
-        delta = layout.positions["zone"] - layout.positions["puck"]
-        return [None, delta]  # special-cased: gripper carries the puck by delta
-    if fam == "door":
-        h, th0 = layout.positions["hinge"], layout.scalars["angle"]
-        th1 = c["close_goal"] - 0.06 if tid == "door-close" else c["open_goal"] + 0.06
-        th1 = float(np.clip(th1, 0.0, c["angle_max"]))
+        return [_button_tip(task.task_id, layout) + _drag_delta(task, layout, None)]
+    if fam in _HINGE:
+        th0, th1 = layout.scalars["angle"], _goal_with_margin(task)
         n = max(2, int(abs(th1 - th0) / ARC_STEP) + 1)
-        return [h + c["arm_len"] * np.array([np.sin(t), -np.cos(t)])
-                for t in np.linspace(th0, th1, n + 1)[1:]]
-    if fam == "faucet":
-        ctr, ph0 = layout.positions["center"], layout.scalars["angle"]
-        ph1 = c["open_goal"] + 0.06 if tid == "faucet-open" else c["close_goal"] - 0.06
-        ph1 = float(np.clip(ph1, -c["angle_lim"], c["angle_lim"]))
-        n = max(2, int(abs(ph1 - ph0) / ARC_STEP) + 1)
-        return [ctr + c["arm_len"] * np.array([np.sin(t), np.cos(t)])
-                for t in np.linspace(ph0, ph1, n + 1)[1:]]
-    if fam == "drawer":
-        return [layout.positions["face"] + np.array([0.0, -_goal_with_margin(task)])]
-    if fam == "plate":
-        return [layout.positions["slot"] + np.array([_goal_with_margin(task), 0.0])]
-    # window
-    return [layout.positions["frame"] + np.array([0.0, _goal_with_margin(task)])]
+        return [_arm_point(fam, layout, t) for t in np.linspace(th0, th1, n + 1)[1:]]
+    return [_slide_point(fam, layout, _goal_with_margin(task))]
 
 
 def _route(layout, start, target):
@@ -550,16 +497,11 @@ def waypoint_plan(task, layout):
     start = layout.positions["grip_start"]
     grasp = handle_point(task.task_id, layout)
     legs = [(p, False) for p in _route(layout, start, grasp)]
-    goal_track = _object_goal_track(task, layout)
-    if task.family == "push":
-        delta = goal_track[1]
-        carry = grasp + delta
-        for p in _route(layout, grasp, carry):
-            legs.append((p, True))
-    elif task.family == "reach":
-        pass  # dwell at the target with the gripper open
-    else:
-        legs.extend((p, True) for p in goal_track)
+    if task.family == "push":  # carry the puck by its offset to the zone
+        carry = grasp + _drag_delta(task, layout, grasp)
+        legs.extend((p, True) for p in _route(layout, grasp, carry))
+    elif task.family != "reach":  # reach dwells at the target with the gripper open
+        legs.extend((p, True) for p in _object_goal_track(task, layout))
     return legs
 
 
@@ -587,16 +529,12 @@ def _drag_delta(task, layout, g):
     fam = task.family
     if fam == "button":
         need = _goal_with_margin(task) - layout.scalars["depth"]
-        return _button_axis(task.task_id) * max(0.0, need)
+        return _PRESS_AXIS[task.task_id] * max(0.0, need)
     if fam == "push":
         return layout.positions["zone"] - layout.positions["puck"]
-    if fam == "drawer":
-        return np.array([0.0, layout.scalars["ext"] - _goal_with_margin(task)])
-    if fam == "plate":
-        return np.array([_goal_with_margin(task) - layout.scalars["slide"], 0.0])
-    if fam == "window":
-        return np.array([0.0, _goal_with_margin(task) - layout.scalars["ext"]])
-    # door / faucet: head for the next absolute arc waypoint
+    if fam in _SLIDE:
+        return _SLIDE[fam][1] * (_goal_with_margin(task) - layout.scalars[_GOAL[task.task_id][0]])
+    # hinge: head for the next absolute arc waypoint
     return _object_goal_track(task, layout)[0] - g
 
 
@@ -615,21 +553,16 @@ def expert_action(state, task):
     grasp = handle_point(task.task_id, lay)
     dist = np.linalg.norm(g - grasp)
 
-    if task.family == "reach":
-        if np.linalg.norm(g - lay.positions["target"]) <= NEAR_TOL:
-            return np.array([0.0, 0.0, -EXPERT_CAP])  # dwell; charge accumulates
-        target = _next_waypoint(_route(lay, g, lay.positions["target"]), g)
-        return np.array([*(_axis_step(target - g, EXPERT_CAP)), -EXPERT_CAP])
-
     # holding with margin: keep dragging rather than re-approaching, so the
-    # grip never flips mid-drag (arc following drifts a little off the handle)
-    holding = state.closed and dist <= ENGAGE_R - 0.005
+    # grip never flips mid-drag (arc following drifts a little off the handle).
+    # Reach never holds: it dwells at the target with the grip open.
+    holding = state.closed and dist <= ENGAGE_R - 0.005 and task.family != "reach"
     if not holding:
         if dist > NEAR_TOL:
             target = _next_waypoint(_route(lay, g, grasp), g)
             return np.array([*(_axis_step(target - g, EXPERT_CAP)), -EXPERT_CAP])
-        if state.steps % GRAB_ALIGN != 0:
-            return np.array([0.0, 0.0, -EXPERT_CAP])  # wait for a grab boundary
+        if task.family == "reach" or state.steps % GRAB_ALIGN != 0:
+            return np.array([0.0, 0.0, -EXPERT_CAP])  # dwell (charge accumulates) or wait for a grab boundary
 
     # grab or keep holding: drive the object along its constraint
     delta = _drag_delta(task, lay, g)
@@ -725,8 +658,6 @@ def render(state):
 
     if fam == "button":
         base = lay.positions["button"]
-        axis_in = _button_axis(tid)
-        out = -axis_in
         tip = _button_tip(tid, lay)
         half = 0.035
         if tid == "button-press":
@@ -748,7 +679,7 @@ def render(state):
     elif fam == "door":
         h = lay.positions["hinge"]
         c = CONFIG["door"]
-        end = _door_handle(lay)
+        end = handle_point(tid, lay)
         _segment(img, h, h + np.array([0.0, -c["arm_len"] - 0.02]), (70, 70, 78), 1)  # jamb
         _segment(img, h, end, accent, 1)
         _disc(img, h, 1, (200, 200, 200))
@@ -758,25 +689,26 @@ def render(state):
         e = lay.scalars["ext"]
         _frame_rect(img, f0[0] - 0.07, f0[1], f0[0] + 0.07, f0[1] + 0.10, (110, 110, 116))  # cabinet
         _rect(img, f0[0] - 0.06, f0[1] - e, f0[0] + 0.06, f0[1] + 0.02, accent)             # drawer body
-        _disc(img, _drawer_handle(lay), 2, (240, 240, 240))
+        _disc(img, handle_point(tid, lay), 2, (240, 240, 240))
     elif fam == "faucet":
         ctr = lay.positions["center"]
         _rect(img, ctr[0] - 0.02, ctr[1] - 0.03, ctr[0] + 0.02, ctr[1] + 0.02, (120, 120, 128))
-        _segment(img, ctr, _faucet_handle(lay), accent, 1)
-        _disc(img, _faucet_handle(lay), 2, (240, 240, 240))
+        end = handle_point(tid, lay)
+        _segment(img, ctr, end, accent, 1)
+        _disc(img, end, 2, (240, 240, 240))
     elif fam == "plate":
         s0 = lay.positions["slot"]
         c = CONFIG["plate"]
         _segment(img, s0, s0 + np.array([c["slide_max"], 0.0]), (80, 84, 80), 1)
-        goal_s = c["fwd_goal"] if tid == "plate-slide" else c["back_goal"]
+        goal_s = c[_GOAL[tid][1]]
         _frame_rect(img, s0[0] + goal_s - 0.035, s0[1] - 0.035, s0[0] + goal_s + 0.035, s0[1] + 0.035, (140, 140, 140))
-        _disc(img, _plate_center(lay), 2.6, accent)
+        _disc(img, handle_point(tid, lay), 2.6, accent)
     elif fam == "window":
         f0 = lay.positions["frame"]
         c = CONFIG["window"]
         _frame_rect(img, f0[0] - 0.06, f0[1] - 0.01, f0[0] + 0.06, f0[1] + c["ext_max"] + 0.05, (120, 120, 126))
         _rect(img, f0[0] - 0.05, f0[1] + lay.scalars["ext"], f0[0] + 0.05, f0[1] + lay.scalars["ext"] + 0.035, accent)
-        _disc(img, _window_handle(lay), 2, (240, 240, 240))
+        _disc(img, handle_point(tid, lay), 2, (240, 240, 240))
 
     _disc(img, state.gripper, 2, _GRIP_CLOSED if state.closed else _GRIP_OPEN)
     return img

@@ -169,13 +169,7 @@ def train_idm(packed, config=None, hook=None):
             batch_t[bi] = targets[vi, k:k + w - 1]
         batch_f = data.inject_noise(batch_f, cfg.noise_sigma, rng) / 127.5 - 1.0
         logits = model(batch_f)
-        loss = idm_loss(logits, batch_t)
-        val = float(loss.data)
-        if not np.isfinite(val):
-            raise RuntimeError(f"numerical divergence at step {it}")
-        model.zero_grad()
-        loss.backward()
-        opt.step()
+        val = opt.minimize(idm_loss(logits, batch_t), it)
         log.append(val)
         if hook is not None:
             hook(it, val)

@@ -416,9 +416,10 @@ def conv2d(x, w, b, stride=1, pad=1):
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wd + 2 * pad - kw) // stride + 1
     rows = n * ho * wo
-    y = np.empty((rows, o), dtype=x.dtype)
+    out_dtype = np.result_type(x.dtype, w.dtype)  # promotes like matmul
+    y = np.empty((rows, o), dtype=out_dtype)
     scratch = np.empty((rows, c), dtype=x.dtype)
-    tmp = np.empty((rows, o), dtype=x.dtype)
+    tmp = np.empty((rows, o), dtype=out_dtype)
     first = True
     for i in range(kh):
         for j in range(kw):
@@ -644,6 +645,19 @@ class Adam:
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
+
+    def minimize(self, loss, it):
+        """One training step on a scalar loss; returns it as a float.
+
+        A non-finite loss raises before any gradient is taken, naming step `it`.
+        """
+        val = float(loss.data)
+        if not math.isfinite(val):
+            raise RuntimeError(f"numerical divergence at step {it}")
+        self.zero_grad()
+        loss.backward()
+        self.step()
+        return val
 
 
 def sinusoidal_embedding(t, dim):

@@ -95,12 +95,7 @@ def train_variant_classifier(videos_by_task, steps=800, seed=0):
         pick = rng.integers(0, len(frames), size=48)
         x = data.to_unit(frames[pick])
         x += rng.normal(0.0, 0.05, size=x.shape).astype(np.float32)
-        loss = nn.cross_entropy(model(x), labels[pick])
-        if not np.isfinite(float(loss.data)):
-            raise RuntimeError(f"numerical divergence at step {it}")
-        model.zero_grad()
-        loss.backward()
-        opt.step()
+        opt.minimize(nn.cross_entropy(model(x), labels[pick]), it)
     return model
 
 
@@ -145,8 +140,7 @@ def generate_demonstrations(task, n_demos, dvg_model, idm_model, schedule,
     if n_demos < 1:
         raise ValueError("n_demos must be >= 1")
     task = env.get_task(task)
-    prompt = prompts.task_prompt(task)
-    text = prompts.embed_prompt(prompt)
+    text = prompts.task_embedding(task)
     layouts, pose_seqs, pose_vids = [], [], []
     for m in range(n_demos):
         layout = env.sample_layout(task, 700_000 + seed * 1_000 + m)
@@ -177,19 +171,13 @@ def generate_demonstrations(task, n_demos, dvg_model, idm_model, schedule,
 
 def demos_to_episodes(demos):
     """Generated demos -> BC episodes at the simulator-rate action scale."""
-    out = []
-    cache = {}
-    for d in demos:
-        if d.task_id not in cache:
-            cache[d.task_id] = prompts.embed_prompt(prompts.task_prompt(d.task_id))
-        out.append(pol_mod.BCEpisode(
-            task_id=d.task_id,
-            frames=d.video,
-            actions=(np.asarray(d.actions, dtype=np.float32) / data.SKIP),
-            prompt_emb=cache[d.task_id],
-            history_stride=1,  # adjacent video frames are 3 sim steps apart
-        ))
-    return out
+    return [pol_mod.BCEpisode(
+        task_id=d.task_id,
+        frames=d.video,
+        actions=(np.asarray(d.actions, dtype=np.float32) / data.SKIP),
+        prompt_emb=prompts.task_embedding(d.task_id),
+        history_stride=1,  # adjacent video frames are 3 sim steps apart
+    ) for d in demos]
 
 
 # ---------------------------------------------------------------------------

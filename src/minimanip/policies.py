@@ -136,14 +136,9 @@ def _grab_wait_mask(traj):
 
 
 def episodes_from_trajectories(trajs):
-    cache = {}
-    out = []
-    for t in trajs:
-        if t.task_id not in cache:
-            cache[t.task_id] = prompts.embed_prompt(prompts.task_prompt(t.task_id))
-        out.append(BCEpisode(t.task_id, t.frames, t.actions, cache[t.task_id],
-                             skip_mask=_grab_wait_mask(t)))
-    return out
+    return [BCEpisode(t.task_id, t.frames, t.actions, prompts.task_embedding(t.task_id),
+                      skip_mask=_grab_wait_mask(t))
+            for t in trajs]
 
 
 def _history_indices(t, k, stride, length):
@@ -193,13 +188,7 @@ def train_policy(arch, episodes, config=None, hook=None):
             obs[bi] = np.roll(obs[bi], tuple(shifts[bi]), axis=(-3, -2))
         obs += rng.normal(0.0, AUG_NOISE, size=obs.shape).astype(np.float32)
         logits = model(obs, prompt)
-        loss = bc_loss(logits, tgt)
-        val = float(loss.data)
-        if not np.isfinite(val):
-            raise RuntimeError(f"numerical divergence at step {it}")
-        model.zero_grad()
-        loss.backward()
-        opt.step()
+        val = opt.minimize(bc_loss(logits, tgt), it)
         opt.lr = LR_FINAL + 0.5 * (LR - LR_FINAL) * (1 + np.cos(np.pi * (it + 1) / cfg.steps))
         log.append(val)
         if hook is not None:
@@ -217,11 +206,7 @@ def rollout_many(model, task_seed_pairs, max_steps=env.MAX_STEPS):
     Returns a success flag per (task, seed) pair.
     """
     n = len(task_seed_pairs)
-    cache = {}
-    for tid, _ in task_seed_pairs:
-        if tid not in cache:
-            cache[tid] = prompts.embed_prompt(prompts.task_prompt(tid))
-    prompt_embs = np.stack([cache[tid] for tid, _ in task_seed_pairs])
+    prompt_embs = np.stack([prompts.task_embedding(tid) for tid, _ in task_seed_pairs])
     states, frames = [], []
     for tid, seed in task_seed_pairs:
         s, f = env.reset(tid, seed)

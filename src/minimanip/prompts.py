@@ -146,6 +146,19 @@ def task_prompt(task):
     return expand_prompt(env.get_task(task).description)
 
 
+_TASK_EMB = {}
+
+
+def task_embedding(task):
+    """`embed_prompt(task_prompt(task))`, computed once per task; read-only."""
+    tid = env.get_task(task).task_id
+    if tid not in _TASK_EMB:
+        emb = embed_prompt(task_prompt(tid))
+        emb.flags.writeable = False
+        _TASK_EMB[tid] = emb
+    return _TASK_EMB[tid]
+
+
 # ---------------------------------------------------------------------------
 # Pose planning
 # ---------------------------------------------------------------------------

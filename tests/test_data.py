@@ -80,6 +80,18 @@ def test_subsample_identity():
     assert np.array_equal(picked[:, 0, 0, 0], np.arange(36))
 
 
+def test_subsampled_pose_track_matches_frames(short_traj):
+    positions, closed = data.gripper_pose_track(short_traj)
+    assert len(positions) < data.SKIP * data.VIDEO_FRAMES  # exercises the padding
+    pos, clo = data.subsampled_pose_track(short_traj)
+    assert pos.shape == (data.VIDEO_FRAMES, 2) and clo.shape == (data.VIDEO_FRAMES,)
+    assert clo.dtype == bool
+    n = len(positions[::data.SKIP])
+    assert np.array_equal(pos[:n], positions[::data.SKIP])
+    assert np.array_equal(clo[:n], closed[::data.SKIP])
+    assert np.all(pos[n:] == positions[::data.SKIP][-1]) and np.all(clo[n:] == clo[n - 1])
+
+
 def test_subsample_empty():
     with pytest.raises(ValueError, match="empty trajectory"):
         data.subsample_frames(np.zeros((0, 64, 64, 3), dtype=np.uint8))

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minimanip import env
+from minimanip import data, env, prompts
 
 
 def test_registry_shape():
@@ -170,3 +172,39 @@ def test_registry_export(tmp_path):
         tid, family, variant, fold, desc = line.split("\t")
         assert tid in env.REGISTRY
         assert fold in ("1", "2")
+
+
+# sha256 prefixes of the exact bytes of one epsilon-0.1 expert episode (frames
+# and actions) and the pose plan of its layout, per task, at seed 0. Any change
+# to layout sampling, mechanics, goals, the expert or the renderer moves them.
+_GOLDEN = {
+    "button-press": "1127b577fd7a2318",
+    "button-press-wall": "6dd744edda860b81",
+    "reach": "2dc4ad64b6de74d0",
+    "reach-wall": "676aa4566b4a0d8f",
+    "push-wall": "a8cbfe9402aadd01",
+    "push": "5849e7d4aa05b5fc",
+    "door-close": "335168b5ecbece38",
+    "door-open": "ded281921e292a01",
+    "drawer-open": "204f9589a5d53239",
+    "drawer-close": "f7dfa385a4095684",
+    "faucet-open": "3a62c833e6ae2b03",
+    "faucet-close": "2ee615d1a456aed2",
+    "plate-slide": "03edbd37d32167af",
+    "plate-slide-back": "02e470a6a39e0d20",
+    "window-open": "ba41a430d434ec24",
+    "window-close": "9f1a6251779a4267",
+}
+
+
+def test_expert_trajectories_match_golden():
+    assert set(_GOLDEN) == set(env.TASK_IDS)
+    for tid in env.TASK_IDS:
+        h = hashlib.sha256()
+        traj = data.run_episode(tid, 0, epsilon=0.1)
+        h.update(traj.frames.tobytes())
+        h.update(traj.actions.tobytes())
+        poses = prompts.plan_pose(tid, env.sample_layout(tid, 0))
+        h.update(poses.positions.tobytes())
+        h.update(poses.closed.tobytes())
+        assert h.hexdigest()[:16] == _GOLDEN[tid], tid

@@ -48,6 +48,21 @@ def test_conv2d_grad_stride():
                      rng.normal(size=(2, 6, 6, 2)))
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_promotes_like_matmul(stride):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(2, 6, 6, 2))
+    w = rng.normal(size=(3, 3, 2, 3))
+    b = rng.normal(size=3)
+    mixed = nn.conv2d(nn.Tensor(x.astype(np.float32)), nn.Tensor(w), nn.Tensor(b), stride=stride)
+    assert mixed.dtype == nn.matmul(nn.Tensor(x[0, 0].astype(np.float32)), nn.Tensor(w[0, 0])).dtype
+    assert mixed.dtype == np.float64
+    wide = nn.conv2d(nn.Tensor(x.astype(np.float32).astype(np.float64)), nn.Tensor(w), nn.Tensor(b), stride=stride)
+    assert np.array_equal(mixed.data, wide.data)
+    single = nn.conv2d(*(nn.Tensor(a.astype(np.float32)) for a in (x, w, b)), stride=stride)
+    assert single.dtype == np.float32
+
+
 def test_conv2d_weight_grad():
     rng = np.random.default_rng(5)
     x0 = rng.normal(size=(2, 6, 6, 2))

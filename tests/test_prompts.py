@@ -64,6 +64,14 @@ def test_embedding_deterministic_unit_norm():
         assert abs(np.linalg.norm(e1) - 1.0) < 1e-6
 
 
+def test_task_embedding_is_embedded_task_prompt():
+    for tid in env.TASK_IDS:
+        e = prompts.task_embedding(tid)
+        assert np.array_equal(e, prompts.embed_prompt(prompts.task_prompt(tid)))
+        assert prompts.task_embedding(env.get_task(tid)) is e
+        assert not e.flags.writeable
+
+
 def test_embedding_empty_reserved():
     e = prompts.embed_text("lorem ipsum")
     e2 = prompts.embed_text("qwertyuiop")
