@@ -16,7 +16,7 @@ def main():
         video = data.subsample_frames(traj)
         pos, clo = data.subsampled_pose_track(traj)
         pose_video = prompts.render_pose_video(prompts.PoseSequence(pos, clo))
-        items.append((video, prompts.task_prompt(traj.task_id), pose_video))
+        items.append((video, traj.task_id, pose_video))
 
     cfg = diffusion.DvgConfig(steps=300, batch=2, T=100, seed=0)
     print(f"training the denoiser for {cfg.steps} steps ...")
@@ -27,7 +27,7 @@ def main():
     lay = trajs[0].layout
     poses = prompts.plan_pose("drawer-open", lay)
     pv = prompts.render_pose_video(poses)
-    text = prompts.embed_prompt(prompts.task_prompt("drawer-open"))
+    text = prompts.task_embedding("drawer-open")
     video = diffusion.sample_video(model, text[None], pv[None], sched,
                                    np.random.default_rng(7))[0]
     print("sampled video:", video.shape, video.dtype)

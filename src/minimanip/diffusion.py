@@ -246,17 +246,17 @@ class DvgConfig:
 
 
 def prepare_dvg_dataset(items):
-    """(video u8, prompt, pose u8) triples -> packed float arrays.
+    """(video u8, task id, pose u8) triples -> packed float arrays.
 
-    Returns dict with videos (N,F,64,64,3) in [-1,1], text (N,32), and pose
-    videos (N,F,64,64,1) in [0,1].
+    Returns dict with videos (N,F,64,64,3) in [-1,1], text (N,32) holding each
+    task's `prompts.task_embedding`, and pose videos (N,F,64,64,1) in [0,1].
     """
     if not items:
         raise ValueError("empty dataset")
     videos, texts, poses = [], [], []
-    for video, prompt, pose_video in items:
+    for video, task, pose_video in items:
         videos.append(to_unit(video))
-        texts.append(prompts.embed_prompt(prompt))
+        texts.append(prompts.task_embedding(task))
         poses.append(np.asarray(pose_video, dtype=np.float32) / 255.0)
     return {
         "videos": np.asarray(videos, dtype=np.float32),

@@ -29,8 +29,6 @@ WALL_HALF = 0.018
 ARC_STEP = 0.15       # radians between arc waypoints for hinge/knob drags
 GRAB_ALIGN = 3        # expert grasps start on multiples of the frame-subsampling stride
 
-FAMILIES = ("button", "reach", "push", "door", "drawer", "faucet", "plate", "window")
-
 # Per-family mechanism constants and success thresholds. Success geometry is an
 # artifact choice (tuned so experts always succeed and random policies almost
 # never do); everything lives here rather than in code paths.
@@ -606,19 +604,28 @@ _WALL_COLOR = (120, 120, 120)
 
 
 def _px(u):
-    return int(np.clip(np.rint(u * RES), 0, RES - 1))
+    """Nearest pixel index of workspace coordinate `u`, ties to even, clipped to the frame."""
+    return min(RES - 1, max(0, round(float(u) * RES)))
+
+
+def _discs(img, centers, radius_px, color):
+    """Paint the union of discs around `centers` ((K, 2) workspace x, y) with one mask.
+
+    Each centre rounds and clips to a pixel exactly as `_px` does.
+    """
+    c = np.minimum(np.maximum(np.rint(centers * RES), 0), RES - 1).astype(np.intp)
+    xs, ys = c.T.tolist()
+    r = int(radius_px)
+    x0, x1 = max(0, min(xs) - r), min(RES - 1, max(xs) + r)
+    y0, y1 = max(0, min(ys) - r), min(RES - 1, max(ys) + r)
+    dx = np.arange(x0, x1 + 1) - c[:, 0, None, None]
+    dy = np.arange(y0, y1 + 1)[:, None] - c[:, 1, None, None]
+    mask = (dx * dx + dy * dy <= radius_px ** 2).any(axis=0)
+    img[y0:y1 + 1, x0:x1 + 1][mask] = color
 
 
 def _disc(img, center, radius_px, color):
-    cx, cy = _px(center[0]), _px(center[1])
-    r = int(radius_px)
-    x0, x1 = max(0, cx - r), min(RES - 1, cx + r)
-    y0, y1 = max(0, cy - r), min(RES - 1, cy + r)
-    if x1 < x0 or y1 < y0:
-        return
-    yy, xx = np.ogrid[y0:y1 + 1, x0:x1 + 1]
-    mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= radius_px ** 2
-    img[y0:y1 + 1, x0:x1 + 1][mask] = color
+    _discs(img, np.asarray(center, dtype=np.float64)[None], radius_px, color)
 
 
 def _rect(img, x0, y0, x1, y1, color):
@@ -637,10 +644,11 @@ def _frame_rect(img, x0, y0, x1, y1, color):
 
 
 def _segment(img, p0, p1, color, radius_px=1):
-    n = max(2, int(np.linalg.norm(np.asarray(p1) - np.asarray(p0)) * RES * 1.5) + 1)
-    for t in np.linspace(0.0, 1.0, n):
-        q = (1 - t) * np.asarray(p0) + t * np.asarray(p1)
-        _disc(img, q, radius_px, color)
+    """Discs at 1.5 sample points per pixel of length from p0 to p1, drawn as one union."""
+    p0, p1 = np.asarray(p0), np.asarray(p1)
+    n = max(2, int(np.linalg.norm(p1 - p0) * RES * 1.5) + 1)
+    t = np.linspace(0.0, 1.0, n)[:, None]
+    _discs(img, (1 - t) * p0 + t * p1, radius_px, color)
 
 
 def render(state):

@@ -667,20 +667,3 @@ def sinusoidal_embedding(t, dim):
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / half)
     args = t[:, None] * freqs[None, :]
     return np.concatenate([np.sin(args), np.cos(args)], axis=1)
-
-
-def finite_difference_grad(f, x, eps=1e-5):
-    """Central-difference gradient of scalar f at ndarray x (float64)."""
-    x = x.astype(np.float64)
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gf = g.reshape(-1)
-    for i in range(flat.size):
-        old = flat[i]
-        flat[i] = old + eps
-        fp = f(x)
-        flat[i] = old - eps
-        fm = f(x)
-        flat[i] = old
-        gf[i] = (fp - fm) / (2 * eps)
-    return g

@@ -272,13 +272,13 @@ def _report(fold, arm, arch, rates, cfg):
 
 
 def train_dvg_for_fold(trajs, cfg, seed_offset=0):
-    """DVG training set from expert trajectories: video + prompt + own poses."""
+    """DVG training set from expert trajectories: video + task id + own poses."""
     items = []
     for traj in trajs:
         video = data.subsample_frames(traj)
         pos, clo = data.subsampled_pose_track(traj)
         poses = prompts.PoseSequence(positions=pos, closed=clo)
-        items.append((video, prompts.task_prompt(traj.task_id), prompts.render_pose_video(poses)))
+        items.append((video, traj.task_id, prompts.render_pose_video(poses)))
     dcfg = diffusion.DvgConfig(steps=cfg.dvg_steps, batch=cfg.dvg_batch,
                                seed=cfg.seed + seed_offset, T=cfg.dvg_T,
                                kind=cfg.schedule_kind, channels=cfg.dvg_channels)
@@ -347,16 +347,24 @@ def run_crossval(cfg=None, out_dir=None, log=print):
         kept, stats = filter_demonstrations(all_demos)
         log(f"[fold {fold}] demos kept {stats['kept']}/{stats['total']} "
             f"(discard {stats['discard_fraction']:.0%})")
+        kept_ids, all_ids = [d.task_id for d in kept], [d.task_id for d in all_demos]
+        log(f"[fold {fold}] kept/total per task: " + ", ".join(
+            f"{tid} {kept_ids.count(tid)}/{all_ids.count(tid)}" for tid in env.TASK_IDS))
 
         train_demos = kept if cfg.use_filter else all_demos
         gen_eps = demos_to_episodes(train_demos)
         if cfg.mixed_data:
             gen_eps = gen_eps + expert_eps
+        if not gen_eps:
+            log(f"[fold {fold}] no generated demos to train on: generated arm rates are 0")
         for arch in cfg.architectures:
-            steps = cfg.policy_steps if arch == "lcbc" else cfg.rt1_steps
-            model, _ = pol_mod.train_policy(arch, gen_eps,
-                                            pol_mod.BCConfig(steps=steps, seed=cfg.seed + fold))
-            rates = _eval_policy(model, list(env.TASK_IDS), cfg.eval_episodes, cfg.seed + fold)
+            if gen_eps:
+                steps = cfg.policy_steps if arch == "lcbc" else cfg.rt1_steps
+                model, _ = pol_mod.train_policy(arch, gen_eps,
+                                                pol_mod.BCConfig(steps=steps, seed=cfg.seed + fold))
+                rates = _eval_policy(model, list(env.TASK_IDS), cfg.eval_episodes, cfg.seed + fold)
+            else:
+                rates = dict.fromkeys(env.TASK_IDS, 0.0)
             reports.append(_report(fold, "generated", arch, rates, cfg))
             log(f"[fold {fold}] generated {arch}: few {reports[-1].totals['few_shot']} "
                 f"zero {reports[-1].totals['zero_shot']}")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from minimanip import diffusion as dvg
-from minimanip import nn
+from minimanip import nn, prompts
 
 
 @pytest.mark.parametrize("kind", ["linear", "cosine"])
@@ -171,7 +171,7 @@ def test_train_dvg_determinism_and_batch_mean():
     rng = np.random.default_rng(0)
     video = rng.integers(0, 256, size=(36, 64, 64, 3)).astype(np.uint8)
     pose = np.zeros((36, 64, 64, 1), dtype=np.uint8)
-    items = [(video, "button press", pose)]
+    items = [(video, "button-press", pose)]
     cfg = dvg.DvgConfig(steps=3, batch=1, T=20, channels=(4, 6, 8), seed=5)
     _, log1 = dvg.train_dvg(items, cfg)
     _, log2 = dvg.train_dvg(items, cfg)
@@ -214,3 +214,15 @@ def test_psnr():
     assert dvg.psnr(a, a) == float("inf")
     b = a + 16
     assert dvg.psnr(a, b) == pytest.approx(10 * np.log10(255 ** 2 / 256.0))
+
+
+def test_prepare_dvg_dataset_reads_task_embeddings():
+    video = np.zeros((36, 64, 64, 3), dtype=np.uint8)
+    pose = np.full((36, 64, 64, 1), 255, dtype=np.uint8)
+    packed = dvg.prepare_dvg_dataset([(video, "door-open", pose), (video, "reach", pose)])
+    assert packed["text"].dtype == np.float32
+    assert np.array_equal(packed["text"][0], prompts.task_embedding("door-open").astype(np.float32))
+    assert np.array_equal(packed["text"][1], prompts.task_embedding("reach").astype(np.float32))
+    assert packed["pose"].max() == 1.0
+    with pytest.raises(ValueError, match="unknown task"):
+        dvg.prepare_dvg_dataset([(video, "button press", pose)])

@@ -208,3 +208,86 @@ def test_expert_trajectories_match_golden():
         h.update(poses.positions.tobytes())
         h.update(poses.closed.tobytes())
         assert h.hexdigest()[:16] == _GOLDEN[tid], tid
+
+
+# ---------------------------------------------------------------------------
+# Renderer
+# ---------------------------------------------------------------------------
+
+def _reference_px(u):
+    return int(np.clip(np.rint(u * env.RES), 0, env.RES - 1))
+
+
+def _reference_disc(img, center, radius_px, color):
+    """One `ogrid` disc per call: the renderer's disc before vectorization."""
+    cx, cy = _reference_px(center[0]), _reference_px(center[1])
+    r = int(radius_px)
+    x0, x1 = max(0, cx - r), min(env.RES - 1, cx + r)
+    y0, y1 = max(0, cy - r), min(env.RES - 1, cy + r)
+    yy, xx = np.ogrid[y0:y1 + 1, x0:x1 + 1]
+    mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= radius_px ** 2
+    img[y0:y1 + 1, x0:x1 + 1][mask] = color
+
+
+def _reference_segment(img, p0, p1, color, radius_px=1):
+    """Per-sample-point disc loop: the renderer's segment before vectorization."""
+    n = max(2, int(np.linalg.norm(np.asarray(p1) - np.asarray(p0)) * env.RES * 1.5) + 1)
+    for t in np.linspace(0.0, 1.0, n):
+        q = (1 - t) * np.asarray(p0) + t * np.asarray(p1)
+        _reference_disc(img, q, radius_px, color)
+
+
+# workspace coordinates around and past the frame, plus exact half-pixel ties
+_coord = st.one_of(st.floats(-0.2, 1.2), st.integers(-13, 76).map(lambda k: (k + 0.5) / env.RES))
+_point = st.tuples(_coord, _coord)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point, _point, st.booleans(), st.sampled_from([1, 2, 2.6]), st.integers(0, 2**32 - 1))
+def test_segment_and_disc_match_per_point_discs(p0, p1, zero_length, radius_px, bg_seed):
+    if zero_length:
+        p1 = p0
+    p0, p1 = np.array(p0), np.array(p1)
+    bg = np.random.default_rng(bg_seed).integers(0, 256, size=(env.RES, env.RES, 3), dtype=np.uint8)
+    got, want = bg.copy(), bg.copy()
+    env._segment(got, p0, p1, (1, 2, 3), radius_px)
+    _reference_segment(want, p0, p1, (1, 2, 3), radius_px)
+    assert np.array_equal(got, want)
+    env._disc(got, p1, radius_px, (4, 5, 6))
+    _reference_disc(want, p1, radius_px, (4, 5, 6))
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(-3.0, 3.0), st.integers(-200, 200).map(lambda k: (k + 0.5) / env.RES)))
+def test_px_rounds_half_to_even_and_clips(u):
+    assert env._px(u) == _reference_px(u)
+    assert env._px(np.float64(u)) == env._px(u)
+
+
+# sha256 prefixes of the frames of two uniform-random-action episodes per task:
+# one from the reset pose (rng seed 0; it reaches the frame edge) and one started
+# on the handle (rng seed 1; it grabs and moves the part).
+_RANDOM_GOLDEN = {
+    "door-open": "fc9865c28754efc1",
+    "door-close": "bd9594bc98318298",
+    "faucet-close": "444103da6a977f51",
+    "plate-slide": "4f4f471e2310f352",
+}
+
+
+def test_random_action_frames_match_golden():
+    assert set(_RANDOM_GOLDEN) == {"door-open", "door-close", "faucet-close", "plate-slide"}
+    for tid, want in _RANDOM_GOLDEN.items():
+        h = hashlib.sha256()
+        for rng_seed, on_handle in ((0, False), (1, True)):
+            state, frame = env.reset(tid, 0)
+            if on_handle:
+                state.gripper = env.handle_point(tid, state.layout).copy()
+                frame = env.render(state)
+            h.update(frame.tobytes())
+            rng = np.random.default_rng(rng_seed)
+            for _ in range(60):
+                state, frame, _ = env.step(state, rng.uniform(-1.0, 1.0, size=3))
+                h.update(frame.tobytes())
+        assert h.hexdigest()[:16] == want, tid

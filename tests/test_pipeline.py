@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -153,7 +155,7 @@ def _nan_loss(*args, **kwargs):
 def _train_dvg_one_step():
     video = np.zeros((36, 64, 64, 3), dtype=np.uint8)
     pose = np.zeros((36, 64, 64, 1), dtype=np.uint8)
-    diffusion.train_dvg([(video, "button press", pose)],
+    diffusion.train_dvg([(video, "button-press", pose)],
                         diffusion.DvgConfig(steps=1, batch=1, T=20, channels=(2, 3, 4)))
 
 
@@ -226,3 +228,47 @@ def test_astype_sets_parameter_and_forward_dtype(monkeypatch, build, forward):
         made.clear()
         assert forward(model).dtype == dtype
         assert set(made) == {np.dtype(dtype)}
+
+
+def test_crossval_without_kept_demos_scores_generated_arm_zero(monkeypatch, tmp_path):
+    """A fold whose filter keeps no demo reports rate 0 for the generated arm and still writes its report."""
+    real_collect = data.collect
+    monkeypatch.setattr(data, "collect", lambda tid, n_episodes, epsilon, seed:
+                        real_collect(tid, 1, epsilon=epsilon, seed=seed))
+    monkeypatch.setattr(pipeline, "train_variant_classifier", lambda videos, seed: None)
+    monkeypatch.setattr(pipeline, "train_dvg_for_fold", lambda trajs, cfg, seed_offset: (None, []))
+    monkeypatch.setattr(idm, "train_idm", lambda packed, config: (None, []))
+    trained = []
+
+    def train_policy(arch, episodes, config):
+        if not episodes:
+            raise ValueError("empty dataset")  # as the real trainer does
+        trained.append((arch, len(episodes)))
+        return arch, []
+
+    def generate(task, n_demos, *args, **kwargs):
+        return [pipeline.GeneratedDemo(task, m, None, None, np.zeros((36, 64, 64, 3), np.uint8),
+                                       np.zeros((35, 3)),
+                                       flags={"replay_success": False, "plausible": True, "consistent": False})
+                for m in range(n_demos)]
+
+    monkeypatch.setattr(policies, "train_policy", train_policy)
+    monkeypatch.setattr(pipeline, "_eval_policy", lambda model, tids, episodes, seed: dict.fromkeys(tids, 1.0))
+    monkeypatch.setattr(pipeline, "generate_demonstrations", generate)
+    lines = []
+    cfg = pipeline.CrossvalConfig(n_expert_episodes=1, n_demos=2, folds=(1,))
+    reports, _ = pipeline.run_crossval(cfg, out_dir=str(tmp_path), log=lines.append)
+
+    assert trained == [("lcbc", 8), ("rt1", 8)]  # the expert arm only
+    generated = [r for r in reports if r.arm == "generated"]
+    assert [r.arch for r in generated] == ["lcbc", "rt1"]
+    for r in generated:
+        assert r.rates == dict.fromkeys(env.TASK_IDS, 0.0)
+        assert r.totals == {"few_shot": "0/8", "zero_shot": "0/8"}
+    per_task = [line for line in lines if "kept/total per task" in line]
+    assert len(per_task) == 1
+    assert all(f"{tid} 0/2" in per_task[0] for tid in env.TASK_IDS)
+    assert any("no generated demos" in line for line in lines)
+    payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert [(r["arm"], r["arch"]) for r in payload["reports"]] == [
+        ("expert", "lcbc"), ("expert", "rt1"), ("generated", "lcbc"), ("generated", "rt1")]
