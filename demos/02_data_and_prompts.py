@@ -27,7 +27,7 @@ def main():
     print(f"\nvideo tensor: {sub.frames.shape} uint8, bridged actions {sub.actions.shape}")
     print("per-step displacement caps:", np.abs(sub.actions[:, :2]).max())
 
-    edge = data.edge_extract(trajs[0].frames[0])
+    edge = data.edge_extract_video(trajs[0].frames[:1])[0]
     print("edge-extracted frame range:", edge.min(), "-", edge.max())
 
     print("\nprompt expansion on three reference descriptions:")

@@ -23,12 +23,12 @@ def main():
     truth = data.subsample_trajectory(held).actions
     bins_err = np.abs(data.discretize(np.clip(labels, -1, 1)) - data.discretize(truth))
     print(f"label +/-1-bin accuracy vs bridged truth: {(bins_err <= 1).mean():.2f}")
-    ok, _ = pipeline.replay_actions("window-close", held.layout, labels)
+    ok = pipeline.replay_actions("window-close", held.layout, labels)
     print("replaying the labels solves the held-out layout:", ok)
 
     eps = policies.episodes_from_trajectories(trajs)
     policy, plog = policies.train_policy("lcbc", eps, policies.BCConfig(steps=1200, seed=0))
-    rate = policies.rollout_eval(policy, "window-close", episodes=10, seed=4)
+    rate = policies.rollout_eval(policy, ["window-close"], episodes=10, seed=4)["window-close"]
     print(f"behavior-cloned policy accomplishment rate: {rate:.2f}")
 
 

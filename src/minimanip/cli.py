@@ -69,19 +69,14 @@ def _cmd_train_dvg(args):
 
 
 def _cmd_sample(args):
-    from . import data, diffusion, env, prompts, storage
-    model, meta = storage.load_model(args.ckpt)
+    from . import data, diffusion, env, pipeline, storage
+    model, _ = storage.load_model(args.ckpt)
     schedule = diffusion.build_schedule(args.T, args.kind)
-    task = env.get_task(args.task)
+    task_id = env.get_task(args.task).task_id
     os.makedirs(args.out, exist_ok=True)
-    text = prompts.task_embedding(task)
-    for m in range(args.count):
-        layout = env.sample_layout(task, args.seed + m)
-        poses = prompts.plan_pose(task, layout)
-        pv = prompts.render_pose_video(poses)
-        rng = np.random.default_rng([args.seed, m])
-        video = diffusion.sample_video(model, text[None], pv[None], schedule, rng)[0]
-        data.save_frames_bin(os.path.join(args.out, f"{task.task_id}_{m:03d}.bin"), video)
+    videos = pipeline.sample_demo_videos(task_id, args.count, model, schedule, seed=args.seed)
+    for m, (_, _, video) in enumerate(videos):
+        data.save_frames_bin(os.path.join(args.out, f"{task_id}_{m:03d}.bin"), video)
     print(f"sampled {args.count} videos to {args.out}")
 
 
@@ -137,7 +132,7 @@ def _cmd_train_policy(args):
 def _cmd_eval(args):
     from . import policies, storage
     model, _ = storage.load_model(args.ckpt)
-    rate = policies.rollout_eval(model, args.task, episodes=args.episodes, seed=args.seed)
+    (rate,) = policies.rollout_eval(model, [args.task], episodes=args.episodes, seed=args.seed).values()
     print(f"{args.task}: accomplishment rate {rate:.3f} over {args.episodes} episodes")
 
 

@@ -252,28 +252,25 @@ def subsample_trajectory(traj):
 _SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float32)
 
 
-def edge_extract(frame):
-    """Grayscale Sobel gradient magnitude, scaled to [0, 255], 3 channels."""
-    f = np.asarray(frame, dtype=np.float32)
+def edge_extract_video(frames):
+    """Grayscale Sobel gradient magnitude of every frame (N, H, W, 3), scaled to [0, 255], 3 channels."""
+    f = np.asarray(frames, dtype=np.float32)
     gray = 0.299 * f[..., 0] + 0.587 * f[..., 1] + 0.114 * f[..., 2]
-    p = np.pad(gray, 1, mode="edge")
+    p = np.pad(gray, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    h, w = gray.shape[1:]
     gx = np.zeros_like(gray)
     gy = np.zeros_like(gray)
     for di in range(3):
         for dj in range(3):
-            w = _SOBEL_X[di, dj]
-            if w:
-                gx += w * p[di:di + gray.shape[0], dj:dj + gray.shape[1]]
-            w = _SOBEL_X[dj, di]
-            if w:
-                gy += w * p[di:di + gray.shape[0], dj:dj + gray.shape[1]]
+            k = _SOBEL_X[di, dj]
+            if k:
+                gx += k * p[:, di:di + h, dj:dj + w]
+            k = _SOBEL_X[dj, di]
+            if k:
+                gy += k * p[:, di:di + h, dj:dj + w]
     mag = np.sqrt(gx * gx + gy * gy) / 4.0  # 4*255 is the max per-axis response
     out = np.clip(np.rint(mag), 0, 255).astype(np.uint8)
     return np.repeat(out[..., None], 3, axis=-1)
-
-
-def edge_extract_video(frames):
-    return np.stack([edge_extract(f) for f in np.asarray(frames)])
 
 
 def inject_noise(frames, sigma=10.0, rng=None):
@@ -304,14 +301,8 @@ def from_unit(x):
 
 def gripper_pose_track(traj):
     """Per-frame gripper (position, closed) via deterministic replay."""
-    state, _ = env.reset_from_layout(traj.task_id, traj.layout)
-    positions = [state.gripper.copy()]
-    closed = [state.closed]
-    for a in traj.actions:
-        state, _ = env.step_state(state, a)
-        positions.append(state.gripper.copy())
-        closed.append(state.closed)
-    return np.asarray(positions), np.asarray(closed, dtype=bool)
+    states = list(env.replay_states(traj.task_id, traj.layout, traj.actions))
+    return np.asarray([s.gripper for s in states]), np.asarray([s.closed for s in states], dtype=bool)
 
 
 def subsampled_pose_track(traj):

@@ -130,8 +130,7 @@ class PoseAdapter(nn.Module):
 class VideoDenoiser(nn.Module):
     """Epsilon-prediction U-Net over (B, F, 3, 64, 64) videos in [-1, 1]."""
 
-    def __init__(self, rng=None, channels=(12, 24, 48), cond_dim=64, frames=FRAMES):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, rng, channels=(12, 24, 48), cond_dim=64, frames=FRAMES):
         c1, c2, c3 = channels
         self.channels = tuple(channels)
         self.frames = frames
@@ -164,8 +163,8 @@ class VideoDenoiser(nn.Module):
 
     # -- conditioning helpers ------------------------------------------
     def _input(self, x):
-        """x as a Tensor; an array is cast to the parameters' dtype."""
-        return x if isinstance(x, nn.Tensor) else nn.Tensor(np.asarray(x, dtype=self.in_conv.w.dtype))
+        """Array x as a Tensor of the parameters' dtype."""
+        return nn.Tensor(np.asarray(x, dtype=self.in_conv.w.dtype))
 
     def _cond_vector(self, t_idx, text_emb, schedule_T):
         emb = nn.sinusoidal_embedding(np.asarray(t_idx, dtype=np.float64) / schedule_T * 1000.0,
@@ -265,14 +264,12 @@ def prepare_dvg_dataset(items):
     }
 
 
-def train_dvg(dataset, config=None, hook=None):
-    """Mini-batch epsilon-prediction training; returns (model, loss log)."""
+def train_dvg(items, config=None, hook=None):
+    """Mini-batch epsilon-prediction training on `prepare_dvg_dataset` items; returns (model, loss log)."""
     cfg = config or DvgConfig()
-    packed = dataset if isinstance(dataset, dict) else prepare_dvg_dataset(dataset)
+    packed = prepare_dvg_dataset(items)
     videos, text, pose = packed["videos"], packed["text"], packed["pose"]
     n = len(videos)
-    if n == 0:
-        raise ValueError("empty dataset")
     rng = np.random.default_rng(cfg.seed)
     model = VideoDenoiser(np.random.default_rng(cfg.seed + 1), channels=cfg.channels)
     sched = build_schedule(cfg.T, cfg.kind)
@@ -296,15 +293,11 @@ def train_dvg(dataset, config=None, hook=None):
 def sample_video(model, text_emb, pose_video, schedule, rng):
     """Ancestral sampling conditioned on text embeddings and pose videos.
 
-    text_emb (M, 32); pose_video (M, F, 64, 64, 1) in [0,1] or uint8.
+    text_emb (M, 32); pose_video (M, F, 64, 64, 1) uint8.
     Returns (M, F, 64, 64, 3) uint8 frames.
     """
-    text_emb = np.atleast_2d(np.asarray(text_emb, dtype=np.float32))
-    pose = np.asarray(pose_video, dtype=np.float32)
-    if pose.ndim == 4:
-        pose = pose[None]
-    if pose.max() > 1.5:
-        pose = pose / 255.0
+    text_emb = np.asarray(text_emb, dtype=np.float32)
+    pose = np.asarray(pose_video, dtype=np.float32) / 255.0
     m, f = pose.shape[0], pose.shape[1]
     v = rng.standard_normal((m, f, 64, 64, 3)).astype(np.float32)
     with nn.no_grad():

@@ -276,10 +276,23 @@ def reset(task, seed):
 
 
 def reset_from_layout(task, layout):
-    """Start an episode from an exact layout (used for demo replay)."""
+    """Start an episode from an exact layout: (EnvState, Frame)."""
+    state = next(replay_states(task, layout, ()))
+    return state, render(state)
+
+
+def replay_states(task, layout, actions):
+    """Kinematic replay from an exact layout; renders nothing.
+
+    Yields the start state, then the state after each action in turn, so a
+    consumer that stops early takes no further step.
+    """
     task = get_task(task)
     state = EnvState(task.task_id, layout.positions["grip_start"].copy(), False, layout.copy(), 0)
-    return state, render(state)
+    yield state
+    for a in actions:
+        state, _ = step_state(state, a)
+        yield state
 
 
 # ---------------------------------------------------------------------------
@@ -583,11 +596,13 @@ def scripted_expert(state, task, epsilon, rng):
 # Rendering
 # ---------------------------------------------------------------------------
 
-_BG = {
+# one background frame per family: `render` copies it, which costs far less
+# than broadcasting a colour tuple over every pixel
+_BG = {fam: np.full((RES, RES, 3), rgb, dtype=np.uint8) for fam, rgb in {
     "button": (34, 30, 30), "reach": (26, 32, 28), "push": (33, 31, 26),
     "door": (30, 28, 34), "drawer": (28, 31, 34), "faucet": (26, 33, 34),
     "plate": (32, 32, 30), "window": (28, 30, 36),
-}
+}.items()}
 _ACCENT = {
     "button-press": (210, 40, 40), "button-press-wall": (60, 110, 230),
     "reach": (235, 180, 40), "reach-wall": (170, 80, 230),
@@ -655,8 +670,7 @@ def render(state):
     """Rasterize the scene, 64x64x3 uint8. Pure function of the state."""
     task = get_task(state.task_id)
     lay, fam, tid = state.layout, task.family, task.task_id
-    img = np.empty((RES, RES, 3), dtype=np.uint8)
-    img[:] = _BG[fam]
+    img = _BG[fam].copy()
     accent = _ACCENT[tid]
 
     rect = _wall_rect(lay)

@@ -44,13 +44,8 @@ class PatchStem(nn.Module):
         self.pos = nn.Param((0.3 * rng.normal(size=(N_PATCH, d))).astype(np.float32))
 
     def __call__(self, frames):
-        """frames (N, 64, 64, 3) in [-1,1] -> tokens (N, 64, d).
-
-        An array (not a Tensor) is cast to the parameters' dtype.
-        """
-        if not isinstance(frames, nn.Tensor):
-            frames = nn.Tensor(np.asarray(frames, dtype=self.c1.w.dtype))
-        x = append_coords(frames)
+        """frames (N, 64, 64, 3) ndarray in [-1,1], cast to the parameters' dtype -> tokens (N, 64, d)."""
+        x = append_coords(nn.Tensor(np.asarray(frames, dtype=self.c1.w.dtype)))
         h = nn.relu(self.c1(x))
         h = nn.relu(self.c2(h))
         h = nn.relu(self.c3(h))
@@ -66,7 +61,7 @@ class FrameEncoder(nn.Module):
         self.blocks = [nn.TransformerBlock(d, rng) for _ in range(blocks)]
 
     def __call__(self, frames):
-        """frames (N, 64, 64, 3), Tensor or ndarray -> (N, d)."""
+        """frames (N, 64, 64, 3) ndarray -> (N, d)."""
         h = self.stem(frames)
         for blk in self.blocks:
             h = blk(h)
@@ -76,9 +71,8 @@ class FrameEncoder(nn.Module):
 class ActionDecoder(nn.Module):
     """Bidirectional temporal encoder + per-transition bin heads."""
 
-    def __init__(self, rng=None, d=64, window=data.WINDOW, frame_blocks=1,
+    def __init__(self, rng, d=64, window=data.WINDOW, frame_blocks=1,
                  temporal_blocks=2):
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.d = d
         self.window = window
         self.encoder = FrameEncoder(d, rng, blocks=frame_blocks)
@@ -103,15 +97,6 @@ class ActionDecoder(nn.Module):
         b, w = frames.shape[0], frames.shape[1]
         emb = self.encoder(frames.reshape(b * w, 64, 64, 3)).reshape(b, w, self.d)
         return self.decode(emb)
-
-
-def idm_loss(logits, targets):
-    """Mean negative log-likelihood of the target bins."""
-    logits_t = logits if isinstance(logits, nn.Tensor) else nn.Tensor(np.asarray(logits))
-    t = np.asarray(targets)
-    if logits_t.shape[:-2] != t.shape[:-1] or logits_t.shape[-2] != t.shape[-1]:
-        raise ValueError("target length mismatch")
-    return nn.cross_entropy(logits_t, t)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +152,8 @@ def train_idm(packed, config=None, hook=None):
             vi, k = index[pi]
             batch_f[bi] = vids[vi, k:k + w]
             batch_t[bi] = targets[vi, k:k + w - 1]
-        batch_f = data.inject_noise(batch_f, cfg.noise_sigma, rng) / 127.5 - 1.0
-        logits = model(batch_f)
-        val = opt.minimize(idm_loss(logits, batch_t), it)
+        logits = model(data.to_unit(data.inject_noise(batch_f, cfg.noise_sigma, rng)))
+        val = opt.minimize(nn.cross_entropy(logits, batch_t), it)
         log.append(val)
         if hook is not None:
             hook(it, val)
@@ -188,7 +172,7 @@ def _window_logits(model, edge_videos):
     """
     n, f = edge_videos.shape[:2]
     w = model.window
-    x = edge_videos.reshape(n * f, 64, 64, 3).astype(np.float32) / 127.5 - 1.0
+    x = data.to_unit(edge_videos.reshape(n * f, 64, 64, 3))
     gather = np.arange(f - w + 1)[:, None] + np.arange(w)
     with nn.no_grad():
         emb = model.encoder(x).data.reshape(n, f, -1)

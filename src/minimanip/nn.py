@@ -346,9 +346,12 @@ def gather_last(x, idx):
 
 def cross_entropy(logits, targets):
     """Mean NLL of integer `targets` (any shape) under logits (*targets.shape, n_classes)."""
+    targets = np.asarray(targets)
+    if logits.shape[:-1] != targets.shape:
+        raise ValueError(f"logits of shape {logits.shape} do not match targets of shape {targets.shape}")
     lp = log_softmax(logits, axis=-1)
     flat = lp.reshape(-1, lp.shape[-1])
-    picked = gather_last(flat, np.asarray(targets).reshape(-1))
+    picked = gather_last(flat, targets.reshape(-1))
     return mul(mean(picked), -1.0)
 
 

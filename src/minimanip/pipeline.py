@@ -41,27 +41,23 @@ class GeneratedDemo:
 # ---------------------------------------------------------------------------
 
 def replay_actions(task, layout, actions):
-    """Open-loop replay of labeled per-subsampled-step actions.
+    """Whether an open-loop replay of labeled per-subsampled-step actions solves `layout`.
 
     Each labeled action runs for data.SKIP simulator steps at 1/data.SKIP
-    magnitude, reproducing the net motion it encodes.
+    magnitude, reproducing the net motion it encodes. The replay stops at
+    the first successful step.
     """
-    state, _ = env.reset_from_layout(task, layout)
     scale = 1.0 / data.SKIP
-    for a in np.asarray(actions, dtype=np.float64):
-        sub = np.array([a[0] * scale, a[1] * scale, a[2] * scale])
-        for _ in range(data.SKIP):
-            state, suc = env.step_state(state, sub)
-            if suc:
-                return True, state
-    return False, state
+    steps = (a * scale for a in np.asarray(actions, dtype=np.float64) for _ in range(data.SKIP))
+    states = env.replay_states(task, layout, steps)
+    next(states)  # the start state: success counts only once an action has run
+    return any(env.success(s, task) for s in states)
 
 
 class VariantClassifier(nn.Module):
     """Frame-level patch encoder + 16-way variant head (video = frame mean)."""
 
-    def __init__(self, rng=None, d=48):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, rng, d=48):
         self.encoder = FrameEncoder(d, rng, blocks=1)
         self.head = nn.Linear(d, len(env.TASK_IDS), rng)
 
@@ -108,7 +104,7 @@ def quality_proxies(demo, classifier):
     """
     if demo.actions is None or len(demo.actions) == 0:
         raise ValueError("unlabeled demo")
-    replay_ok, _ = replay_actions(demo.task_id, demo.layout, demo.actions)
+    replay_ok = replay_actions(demo.task_id, demo.layout, demo.actions)
     max_disp = float(np.abs(np.asarray(demo.actions)[:, :2]).max()) * env.STEP
     plausible = bool(max_disp <= 1.5 * env.STEP
                      and demo.video.dtype == np.uint8
@@ -134,11 +130,15 @@ def filter_demonstrations(demos):
 # Demo generation
 # ---------------------------------------------------------------------------
 
-def generate_demonstrations(task, n_demos, dvg_model, idm_model, schedule,
-                            seed=0, batch=8, classifier=None):
-    """Alg.-2 loop: expand text, plan poses, sample videos, label actions."""
-    if n_demos < 1:
-        raise ValueError("n_demos must be >= 1")
+def sample_demo_videos(task, n_demos, dvg_model, schedule, seed=0, batch=8):
+    """Plan a layout and poses per demo, then sample the videos `batch` at a time.
+
+    Demo m's layout comes from seed 700_000 + seed * 1_000 + m, and each chunk
+    draws its noise from [seed, task hash, index of its first demo]. Every
+    pose video is rendered before the first chunk is sampled. Yields
+    (layout, poses, video) per demo, in order; a chunk is sampled only when
+    its first video is asked for, so a consumer can label each chunk first.
+    """
     task = env.get_task(task)
     text = prompts.task_embedding(task)
     layouts, pose_seqs, pose_vids = [], [], []
@@ -148,21 +148,25 @@ def generate_demonstrations(task, n_demos, dvg_model, idm_model, schedule,
         layouts.append(layout)
         pose_seqs.append(poses)
         pose_vids.append(prompts.render_pose_video(poses))
-    demos = []
     for lo in range(0, n_demos, batch):
-        chunk = slice(lo, min(lo + batch, n_demos))
-        pv = np.stack(pose_vids[chunk.start:chunk.stop])
+        pv = np.stack(pose_vids[lo:lo + batch])
         texts = np.repeat(text[None], pv.shape[0], axis=0)
         rng = np.random.default_rng([seed, env._hash64(task.task_id), lo])
         videos = diffusion.sample_video(dvg_model, texts, pv, schedule, rng)
-        for k in range(videos.shape[0]):
-            m = lo + k
-            actions = idm_mod.label_video(idm_model, videos[k])
-            demos.append(GeneratedDemo(
-                task_id=task.task_id, seed=700_000 + seed * 1_000 + m,
-                layout=layouts[m], poses=pose_seqs[m],
-                video=videos[k], actions=actions,
-            ))
+        for m, video in enumerate(videos, lo):
+            yield layouts[m], pose_seqs[m], video
+
+
+def generate_demonstrations(task, n_demos, dvg_model, idm_model, schedule,
+                            seed=0, batch=8, classifier=None):
+    """Alg.-2 loop: expand text, plan poses, sample videos, label actions."""
+    if n_demos < 1:
+        raise ValueError("n_demos must be >= 1")
+    task_id = env.get_task(task).task_id
+    demos = [GeneratedDemo(task_id=task_id, seed=layout.seed, layout=layout, poses=poses,
+                           video=video, actions=idm_mod.label_video(idm_model, video))
+             for layout, poses, video in sample_demo_videos(task, n_demos, dvg_model, schedule,
+                                                            seed, batch)]
     if classifier is not None:
         for d in demos:
             quality_proxies(d, classifier)
@@ -248,15 +252,6 @@ class ExperimentReport:
     seed: int
 
 
-def _eval_policy(model, task_ids, episodes, seed):
-    pairs = [(tid, seed * 100_003 + e) for tid in task_ids for e in range(episodes)]
-    done = pol_mod.rollout_many(model, pairs)
-    rates = {}
-    for i, tid in enumerate(task_ids):
-        rates[tid] = float(done[i * episodes:(i + 1) * episodes].mean())
-    return rates
-
-
 def _report(fold, arm, arch, rates, cfg):
     split = data.fold_split(fold)
     passes, totals = {}, {}
@@ -282,7 +277,30 @@ def train_dvg_for_fold(trajs, cfg, seed_offset=0):
     dcfg = diffusion.DvgConfig(steps=cfg.dvg_steps, batch=cfg.dvg_batch,
                                seed=cfg.seed + seed_offset, T=cfg.dvg_T,
                                kind=cfg.schedule_kind, channels=cfg.dvg_channels)
-    return diffusion.train_dvg(diffusion.prepare_dvg_dataset(items), dcfg)
+    return diffusion.train_dvg(items, dcfg)
+
+
+def _score_arm(fold, arm, episodes, cfg, log):
+    """Behavior-clone every architecture on one arm's episodes and score it on all tasks.
+
+    An arm without episodes scores 0 on every task. Returns one report per
+    architecture.
+    """
+    if not episodes:
+        log(f"[fold {fold}] no {arm} demos to train on: {arm} arm rates are 0")
+    reports = []
+    for arch in cfg.architectures:
+        if episodes:
+            steps = cfg.policy_steps if arch == "lcbc" else cfg.rt1_steps
+            model, _ = pol_mod.train_policy(arch, episodes,
+                                            pol_mod.BCConfig(steps=steps, seed=cfg.seed + fold))
+            rates = pol_mod.rollout_eval(model, env.TASK_IDS, cfg.eval_episodes, cfg.seed + fold)
+        else:
+            rates = dict.fromkeys(env.TASK_IDS, 0.0)
+        reports.append(_report(fold, arm, arch, rates, cfg))
+        log(f"[fold {fold}] {arm} {arch}: few {reports[-1].totals['few_shot']} "
+            f"zero {reports[-1].totals['zero_shot']}")
+    return reports
 
 
 def run_crossval(cfg=None, out_dir=None, log=print):
@@ -315,16 +333,8 @@ def run_crossval(cfg=None, out_dir=None, log=print):
                 epsilon=cfg.collect_epsilon, seed=cfg.seed * 10_000 + fold * 1_000))
         log(f"[fold {fold}] collected {len(expert_trajs)} expert episodes")
 
-        # expert arm
         expert_eps = pol_mod.episodes_from_trajectories(expert_trajs)
-        for arch in cfg.architectures:
-            steps = cfg.policy_steps if arch == "lcbc" else cfg.rt1_steps
-            model, _ = pol_mod.train_policy(arch, expert_eps,
-                                            pol_mod.BCConfig(steps=steps, seed=cfg.seed + fold))
-            rates = _eval_policy(model, list(env.TASK_IDS), cfg.eval_episodes, cfg.seed + fold)
-            reports.append(_report(fold, "expert", arch, rates, cfg))
-            log(f"[fold {fold}] expert {arch}: few {reports[-1].totals['few_shot']} "
-                f"zero {reports[-1].totals['zero_shot']}")
+        reports.extend(_score_arm(fold, "expert", expert_eps, cfg, log))
 
         # generated arm: DVG + IDM trained on few-shot data only
         dvg, _ = train_dvg_for_fold(expert_trajs, cfg, seed_offset=fold)
@@ -355,19 +365,7 @@ def run_crossval(cfg=None, out_dir=None, log=print):
         gen_eps = demos_to_episodes(train_demos)
         if cfg.mixed_data:
             gen_eps = gen_eps + expert_eps
-        if not gen_eps:
-            log(f"[fold {fold}] no generated demos to train on: generated arm rates are 0")
-        for arch in cfg.architectures:
-            if gen_eps:
-                steps = cfg.policy_steps if arch == "lcbc" else cfg.rt1_steps
-                model, _ = pol_mod.train_policy(arch, gen_eps,
-                                                pol_mod.BCConfig(steps=steps, seed=cfg.seed + fold))
-                rates = _eval_policy(model, list(env.TASK_IDS), cfg.eval_episodes, cfg.seed + fold)
-            else:
-                rates = dict.fromkeys(env.TASK_IDS, 0.0)
-            reports.append(_report(fold, "generated", arch, rates, cfg))
-            log(f"[fold {fold}] generated {arch}: few {reports[-1].totals['few_shot']} "
-                f"zero {reports[-1].totals['zero_shot']}")
+        reports.extend(_score_arm(fold, "generated", gen_eps, cfg, log))
 
     quality = quality_report(demo_sets)
     if out_dir:

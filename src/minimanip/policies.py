@@ -28,8 +28,7 @@ class SingleFramePolicy(nn.Module):
 
     arch = "lcbc"
 
-    def __init__(self, rng=None, d=64, blocks=2):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, rng, d=64, blocks=2):
         self.d = d
         self.stem = PatchStem(d, rng)
         self.prompt_fc = nn.Linear(prompts.EMBED_DIM, d, rng)
@@ -53,8 +52,7 @@ class HistoryPolicy(nn.Module):
 
     arch = "rt1"
 
-    def __init__(self, rng=None, d=64, blocks=2, history=HISTORY):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, rng, d=64, blocks=2, history=HISTORY):
         self.d = d
         self.history = history
         self.encoder = FrameEncoder(d, rng, blocks=1)
@@ -81,25 +79,12 @@ class HistoryPolicy(nn.Module):
         return self.decode(emb, prompt_emb)
 
 
-def make_policy(arch, rng=None, **kw):
+def make_policy(arch, rng, **kw):
     if arch == "lcbc":
         return SingleFramePolicy(rng, **kw)
     if arch == "rt1":
         return HistoryPolicy(rng, **kw)
     raise ValueError(f"unknown architecture: {arch!r}")
-
-
-# ---------------------------------------------------------------------------
-# Losses
-# ---------------------------------------------------------------------------
-
-def bc_loss(logits, targets):
-    """Mean cross-entropy over the three action dimensions."""
-    logits_t = logits if isinstance(logits, nn.Tensor) else nn.Tensor(np.asarray(logits))
-    t = np.asarray(targets)
-    if logits_t.shape[-1] != 256 or logits_t.shape[-2] != 3 or logits_t.shape[:-2] != t.shape[:-1]:
-        raise ValueError("shape mismatch")
-    return nn.cross_entropy(logits_t, t)
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +109,15 @@ class BCEpisode:
 def _grab_wait_mask(traj):
     """Steps where the expert idled open at the handle waiting for a grab
     boundary; these are labeling-alignment artifacts, not behavior to clone."""
-    state, _ = env.reset_from_layout(traj.task_id, traj.layout)
     mask = np.zeros(len(traj.actions), dtype=bool)
     fam = env.get_task(traj.task_id).family
-    for i, a in enumerate(traj.actions):
+    # zip draws each action before the state it acts on, so the replay stops
+    # before stepping the last action, whose resulting state is never read
+    states = env.replay_states(traj.task_id, traj.layout, traj.actions)
+    for i, (a, state) in enumerate(zip(traj.actions, states)):
         if fam != "reach" and np.all(a[:2] == 0.0) and a[2] <= 0.0 and not state.closed:
             d = np.linalg.norm(state.gripper - env.handle_point(traj.task_id, state.layout))
             mask[i] = d <= env.NEAR_TOL
-        state, _ = env.step_state(state, a)
     return mask
 
 
@@ -175,20 +161,20 @@ def train_policy(arch, episodes, config=None, hook=None):
         prompt = np.stack([episodes[ei].prompt_emb for ei, _ in pick])
         tgt = np.stack([targets_all[ei][t] for ei, t in pick])
         if arch == "lcbc":
-            obs = np.stack([episodes[ei].frames[t] for ei, t in pick]).astype(np.float32)
+            obs = np.stack([episodes[ei].frames[t] for ei, t in pick])
         else:
             obs = np.empty((cfg.batch, k, 64, 64, 3), dtype=np.float32)
             for bi, (ei, t) in enumerate(pick):
                 ep = episodes[ei]
                 idx = _history_indices(t, k, ep.history_stride, len(ep.frames))
                 obs[bi] = ep.frames[idx]
-        obs = obs / 127.5 - 1.0
+        obs = data.to_unit(obs)
         shifts = rng.integers(-AUG_SHIFT, AUG_SHIFT + 1, size=(cfg.batch, 2))
         for bi in range(cfg.batch):
             obs[bi] = np.roll(obs[bi], tuple(shifts[bi]), axis=(-3, -2))
         obs += rng.normal(0.0, AUG_NOISE, size=obs.shape).astype(np.float32)
         logits = model(obs, prompt)
-        val = opt.minimize(bc_loss(logits, tgt), it)
+        val = opt.minimize(nn.cross_entropy(logits, tgt), it)
         opt.lr = LR_FINAL + 0.5 * (LR - LR_FINAL) * (1 + np.cos(np.pi * (it + 1) / cfg.steps))
         log.append(val)
         if hook is not None:
@@ -218,7 +204,7 @@ def rollout_many(model, task_seed_pairs, max_steps=env.MAX_STEPS):
         live = np.flatnonzero(~done)
         if len(live) == 0:
             break
-        obs = np.stack([frames[i] for i in live]).astype(np.float32) / 127.5 - 1.0
+        obs = data.to_unit(np.stack([frames[i] for i in live]))
         with nn.no_grad():
             if model.arch == "lcbc":
                 logits = model(obs, prompt_embs[live]).data
@@ -243,11 +229,15 @@ def rollout_many(model, task_seed_pairs, max_steps=env.MAX_STEPS):
     return done
 
 
-def rollout_eval(model, task, episodes=50, seed=0, max_steps=env.MAX_STEPS):
-    """Task accomplishment rate over `episodes` greedy closed-loop rollouts."""
-    task = env.get_task(task)
+def rollout_eval(model, tasks, episodes=50, seed=0):
+    """Accomplishment rate per task over `episodes` greedy closed-loop rollouts each.
+
+    Every episode of every task runs in one lockstep `rollout_many` batch;
+    episode e of each task starts from layout seed seed * 100_003 + e.
+    Returns {task_id: rate}.
+    """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    pairs = [(task.task_id, seed * 100_003 + e) for e in range(episodes)]
-    done = rollout_many(model, pairs, max_steps=max_steps)
-    return float(done.mean())
+    tids = [env.get_task(t).task_id for t in tasks]
+    done = rollout_many(model, [(tid, seed * 100_003 + e) for tid in tids for e in range(episodes)])
+    return dict(zip(tids, done.reshape(len(tids), episodes).mean(axis=1).tolist()))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minimanip import cli, data, pipeline, policies, storage
+from minimanip import cli, data, diffusion, pipeline, policies, storage
 from minimanip import inverse_dynamics as idm
 
 
@@ -30,6 +30,21 @@ def test_collect_label_eval_chain(tmp_path, capsys):
     assert "saved 1 episodes" in out
     assert "labeled 35 steps" in out
     assert "reach: accomplishment rate" in out
+
+
+def test_sample_writes_the_videos_generate_demonstrations_samples(tmp_path):
+    ckpt = tmp_path / "dvg.ckpt"
+    storage.save_model(ckpt, diffusion.VideoDenoiser(np.random.default_rng(0), channels=(2, 3, 4)),
+                       "dvg", {"channels": [2, 3, 4]})
+    cli.main(["sample", "--ckpt", str(ckpt), "--task", "door-open", "--count", "3", "--seed", "5",
+              "--T", "2", "--out", str(tmp_path / "videos")])
+    labeler = idm.ActionDecoder(np.random.default_rng(1), d=16, frame_blocks=1, temporal_blocks=1)
+    demos = pipeline.generate_demonstrations("door-open", 3, storage.load_model(ckpt)[0], labeler,
+                                             diffusion.build_schedule(2, "cosine"), seed=5)
+    written = sorted((tmp_path / "videos").iterdir())
+    assert [p.name for p in written] == [f"door-open_{m:03d}.bin" for m in range(3)]
+    for path, demo in zip(written, demos):
+        assert np.array_equal(data.load_frames_bin(path), demo.video)
 
 
 @pytest.mark.parametrize("line,message", [

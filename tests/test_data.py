@@ -99,13 +99,13 @@ def test_subsample_empty():
 
 def test_edge_extract_constant_zero():
     frame = np.full((64, 64, 3), 77, dtype=np.uint8)
-    assert data.edge_extract(frame).max() == 0
+    assert data.edge_extract_video(frame[None]).max() == 0
 
 
 def test_edge_extract_step_edge():
     frame = np.zeros((64, 64, 3), dtype=np.uint8)
     frame[:, 32:] = 255
-    out = data.edge_extract(frame)[:, :, 0].astype(int)
+    out = data.edge_extract_video(frame[None])[0, :, :, 0].astype(int)
     inside = out[:, 31:33]
     outside = np.concatenate([out[:, :30], out[:, 34:]], axis=1)
     assert inside.max() > 200
@@ -114,7 +114,7 @@ def test_edge_extract_step_edge():
 
 def test_edge_extract_closure():
     frame = np.random.default_rng(0).integers(0, 256, size=(64, 64, 3)).astype(np.uint8)
-    out = data.edge_extract(data.edge_extract(frame))
+    out = data.edge_extract_video(data.edge_extract_video(frame[None]))
     assert out.dtype == np.uint8
     assert out.min() >= 0 and out.max() <= 255
 
@@ -274,6 +274,5 @@ def test_bridged_actions_match_displacement(short_traj):
 
 def test_bridged_actions_replayable(short_traj):
     from minimanip.pipeline import replay_actions
-    ok, _ = replay_actions(short_traj.task_id, short_traj.layout,
-                           data.subsample_trajectory(short_traj).actions)
-    assert ok
+    assert replay_actions(short_traj.task_id, short_traj.layout,
+                          data.subsample_trajectory(short_traj).actions)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minimanip import data, env, prompts
+from minimanip import data, env, pipeline, policies, prompts
 
 
 def test_registry_shape():
@@ -291,3 +291,61 @@ def test_random_action_frames_match_golden():
                 state, frame, _ = env.step(state, rng.uniform(-1.0, 1.0, size=3))
                 h.update(frame.tobytes())
         assert h.hexdigest()[:16] == want, tid
+
+
+# ---------------------------------------------------------------------------
+# Replay
+# ---------------------------------------------------------------------------
+
+# sha256 prefixes of the three kinematic replays of one epsilon-0.1 expert
+# episode per task at seed 0: the gripper pose track, the grab-wait mask, and
+# whether its bridged labels and zero actions solve the layout when replayed.
+_REPLAY_GOLDEN = {
+    "button-press": "d63404ac526f4688",
+    "button-press-wall": "b2588e75bf357874",
+    "reach": "d9912ab017134e54",
+    "reach-wall": "4745cae055efbb19",
+    "push-wall": "f782b9f4290ee781",
+    "push": "b85bc3aba32d0f4f",
+    "door-close": "b9ae3195386f9e2f",
+    "door-open": "4728c03e56d7177a",
+    "drawer-open": "e1a42d9a9f976578",
+    "drawer-close": "d37880fa4348eb19",
+    "faucet-open": "9a08e7dbde7e5db3",
+    "faucet-close": "904e9bffe2ef9fb1",
+    "plate-slide": "ea5825b4337d3f2d",
+    "plate-slide-back": "44285b14951ad87f",
+    "window-open": "92bb91ffcb72f0dc",
+    "window-close": "455c9ec8654efd83",
+}
+
+
+def _replays(traj):
+    """The pose track, grab-wait mask and label/zero-action replay verdicts of `traj`."""
+    positions, closed = data.gripper_pose_track(traj)
+    labels = data.subsample_trajectory(traj).actions
+    return (positions, closed, policies._grab_wait_mask(traj),
+            pipeline.replay_actions(traj.task_id, traj.layout, labels),
+            pipeline.replay_actions(traj.task_id, traj.layout, np.zeros_like(labels)))
+
+
+def test_replays_match_golden():
+    assert set(_REPLAY_GOLDEN) == set(env.TASK_IDS)
+    for tid in env.TASK_IDS:
+        positions, closed, mask, ok, ok_zero = _replays(data.run_episode(tid, 0, epsilon=0.1))
+        h = hashlib.sha256()
+        h.update(positions.tobytes())
+        h.update(closed.tobytes())
+        h.update(mask.tobytes())
+        h.update(bytes([ok, ok_zero]))
+        assert h.hexdigest()[:16] == _REPLAY_GOLDEN[tid], tid
+
+
+def test_replays_render_nothing(monkeypatch):
+    traj = data.run_episode("door-open", 0, epsilon=0.1)
+
+    def render(state):
+        raise AssertionError("a replay rendered a frame")
+
+    monkeypatch.setattr(env, "render", render)
+    _replays(traj)

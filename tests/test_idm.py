@@ -34,7 +34,7 @@ def test_permuting_frames_changes_logits(tiny_model):
 def test_uniform_logits_loss(tiny_model):
     logits = nn.Tensor(np.zeros((2, 11, 3, 256), dtype=np.float32))
     targets = np.random.default_rng(0).integers(0, 256, size=(2, 11, 3))
-    loss = float(idm.idm_loss(logits, targets).data)
+    loss = float(nn.cross_entropy(logits, targets).data)
     assert loss == pytest.approx(np.log(256.0), abs=1e-5)
 
 
@@ -44,13 +44,13 @@ def test_delta_logits_near_zero_loss():
     for t in range(11):
         for d in range(3):
             logits[0, t, d, targets[0, t, d]] = 30.0
-    assert float(idm.idm_loss(nn.Tensor(logits), targets).data) < 1e-9
+    assert float(nn.cross_entropy(nn.Tensor(logits), targets).data) < 1e-9
 
 
 def test_loss_target_mismatch(tiny_model):
     logits = nn.Tensor(np.zeros((1, 11, 3, 256), dtype=np.float32))
-    with pytest.raises(ValueError, match="target length mismatch"):
-        idm.idm_loss(logits, np.zeros((1, 10, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match=r"logits of shape \(1, 11, 3, 256\) do not match targets of shape \(1, 10, 3\)"):
+        nn.cross_entropy(logits, np.zeros((1, 10, 3), dtype=np.int64))
 
 
 def test_overfit_loss_decreases():
@@ -197,7 +197,7 @@ def test_gradcheck_miniature_idm():
     targets = rng.integers(0, 256, size=(1, 2, 3))
 
     def loss_value():
-        return idm.idm_loss(model(frames), targets)
+        return nn.cross_entropy(model(frames), targets)
 
     model.zero_grad()
     loss_value().backward()

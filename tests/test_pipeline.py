@@ -17,8 +17,7 @@ def expert_demo():
 
 
 def test_replay_ground_truth_succeeds(expert_demo):
-    ok, _ = pipeline.replay_actions(expert_demo.task_id, expert_demo.layout, expert_demo.actions)
-    assert ok
+    assert pipeline.replay_actions(expert_demo.task_id, expert_demo.layout, expert_demo.actions)
 
 
 def test_quality_proxies_flags(expert_demo):
@@ -36,9 +35,8 @@ def test_proxies_unlabeled():
 
 
 def test_zero_actions_do_not_replay(expert_demo):
-    ok, _ = pipeline.replay_actions(expert_demo.task_id, expert_demo.layout,
-                                    np.zeros_like(expert_demo.actions))
-    assert not ok
+    assert not pipeline.replay_actions(expert_demo.task_id, expert_demo.layout,
+                                       np.zeros_like(expert_demo.actions))
 
 
 def test_filter_keeps_only_replayable(expert_demo):
@@ -253,7 +251,7 @@ def test_crossval_without_kept_demos_scores_generated_arm_zero(monkeypatch, tmp_
                 for m in range(n_demos)]
 
     monkeypatch.setattr(policies, "train_policy", train_policy)
-    monkeypatch.setattr(pipeline, "_eval_policy", lambda model, tids, episodes, seed: dict.fromkeys(tids, 1.0))
+    monkeypatch.setattr(policies, "rollout_eval", lambda model, tasks, episodes, seed: dict.fromkeys(tasks, 1.0))
     monkeypatch.setattr(pipeline, "generate_demonstrations", generate)
     lines = []
     cfg = pipeline.CrossvalConfig(n_expert_episodes=1, n_demos=2, folds=(1,))

@@ -27,18 +27,18 @@ def test_history_length_mismatch():
 
 def test_unknown_arch():
     with pytest.raises(ValueError, match="unknown architecture"):
-        policies.make_policy("cnnlstm")
+        policies.make_policy("cnnlstm", np.random.default_rng(0))
 
 
 def test_bc_loss_uniform():
     logits = nn.Tensor(np.zeros((4, 3, 256), dtype=np.float32))
     targets = np.zeros((4, 3), dtype=np.int64)
-    assert float(policies.bc_loss(logits, targets).data) == pytest.approx(np.log(256.0), abs=1e-5)
+    assert float(nn.cross_entropy(logits, targets).data) == pytest.approx(np.log(256.0), abs=1e-5)
 
 
 def test_bc_loss_shape_mismatch():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        policies.bc_loss(nn.Tensor(np.zeros((4, 3, 100), np.float32)), np.zeros((4, 3), np.int64))
+    with pytest.raises(ValueError, match=r"logits of shape \(4, 3, 256\) do not match targets of shape \(4, 2\)"):
+        nn.cross_entropy(nn.Tensor(np.zeros((4, 3, 256), np.float32)), np.zeros((4, 2), np.int64))
 
 
 def test_greedy_invariant_to_constant_shift():
@@ -86,16 +86,22 @@ class _NoopPolicy:
 
 @pytest.mark.parametrize("task_id", ["reach", "door-open", "window-close", "push"])
 def test_noop_policy_rate_zero(task_id):
-    rate = policies.rollout_eval(_NoopPolicy(), task_id, episodes=5, seed=0)
-    assert rate == 0.0
+    rates = policies.rollout_eval(_NoopPolicy(), [task_id], episodes=5, seed=0)
+    assert rates == {task_id: 0.0}
+
+
+def test_noop_policy_rate_zero_all_tasks_in_one_batch():
+    tasks = ["reach", "door-open", "window-close", "push"]
+    rates = policies.rollout_eval(_NoopPolicy(), tasks, episodes=5, seed=0)
+    assert rates == dict.fromkeys(tasks, 0.0)
 
 
 def test_rollout_rate_reproducible():
     m = policies.make_policy("lcbc", np.random.default_rng(0), d=32, blocks=1)
-    r1 = policies.rollout_eval(m, "reach", episodes=5, seed=2)
-    r2 = policies.rollout_eval(m, "reach", episodes=5, seed=2)
+    r1 = policies.rollout_eval(m, ["reach"], episodes=5, seed=2)
+    r2 = policies.rollout_eval(m, ["reach"], episodes=5, seed=2)
     assert r1 == r2
-    assert 0.0 <= r1 <= 1.0
+    assert 0.0 <= r1["reach"] <= 1.0
 
 
 def test_rt1_rollout_matches_frame_history(monkeypatch):

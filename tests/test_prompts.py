@@ -144,8 +144,7 @@ def test_plan_pose_closed_loop_sound(task_id):
         actions = np.zeros((len(poses.positions) - 1, 3))
         actions[:, :2] = np.diff(poses.positions, axis=0) / env.STEP
         actions[:, 2] = np.where(poses.closed[1:], 1.0, -1.0)
-        ok, _ = pipeline.replay_actions(task_id, lay, actions)
-        assert ok, f"pose replay failed for {task_id} seed {seed}"
+        assert pipeline.replay_actions(task_id, lay, actions), f"pose replay failed for {task_id} seed {seed}"
 
 
 def test_render_pose_video_mapping():
