@@ -1,9 +1,14 @@
 """Minimal reverse-mode autodiff on numpy, with just the ops the models need.
 
-Tensors wrap ndarrays and record a tape; backward() walks it in reverse
-topological order. Inference runs inside ``with no_grad():``, where ops
-record no tape: no parents, no backward closures, so the activations they
-would keep alive are freed as soon as the forward pass moves on.
+The tape is kept apart from the data. A Tensor holds its array and, if it
+needs a grad, a Node; the Node holds the backward closure, the parents'
+Nodes and the grad. Each closure captures only what its backward reads:
+arrays, shapes and parent Nodes, never a Tensor. add, reshape, transpose,
+concat, take, sum_, upsample2x and gather_last keep no activation, and mul,
+matmul and the convolutions keep an operand only for the grad that reads
+it. So an activation that no backward reads is freed as soon as the
+forward pass drops it. backward() walks the Nodes in reverse topological
+order. Inference runs inside ``with no_grad():``, where ops record no tape.
 Convolutions are a sum of kh*kw shifted GEMMs, and the backward pass
 re-reads the padded input instead of retaining the shifted copies.
 Everything is deterministic given a seeded numpy Generator.
@@ -16,15 +21,35 @@ import math
 import numpy as np
 
 
+class Node:
+    """One taped value: how to pass its grad on, and to whom.
+
+    A leaf Tensor that needs a grad has a Node with no backward and no
+    parents; the grad it collects is the Tensor's ``.grad``.
+    """
+
+    __slots__ = ("backward", "parents", "grad")
+
+    def __init__(self, backward=None, parents=()):
+        self.backward = backward
+        self.parents = parents
+        self.grad = None
+
+    def accumulate(self, g):
+        # Stored by reference; backward fns that pass one array to two parents
+        # copy for the second (see add), so in-place accumulation is safe.
+        if self.grad is None:
+            self.grad = g
+        else:
+            self.grad = self.grad + g
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._backward = None
-        self._parents = ()
+        self._node = Node() if requires_grad else None
 
     @property
     def shape(self):
@@ -38,19 +63,39 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def _accumulate(self, g):
-        # Stored by reference; backward fns that pass one array to two parents
-        # copy for the second (see add), so in-place accumulation is safe.
-        if self.grad is None:
-            self.grad = g
-        else:
-            self.grad = self.grad + g
+    @property
+    def requires_grad(self):
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self._node.grad = g
+
+    # perfbench/tracer.py reads and wraps _backward on every taped output
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node.backward = fn
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node.parents
 
     def backward(self, grad=None):
+        if self._node is None:
+            raise RuntimeError("backward() on a tensor that needs no grad: it was computed "
+                               "under no_grad() or from inputs that need none")
         if grad is None:
             grad = np.ones_like(self.data)
         topo, seen = [], set()
-        stack = [(self, False)]
+        stack = [(self._node, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -60,15 +105,15 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.asarray(grad, dtype=self.data.dtype)
+        self._node.grad = np.asarray(grad, dtype=self.data.dtype)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                node._backward = None  # release closures and grads as we go
-                node._parents = ()
+            if node.backward is not None and node.grad is not None:
+                node.backward(node.grad)
+                node.backward = None  # release closures and grads as we go
+                node.parents = ()
                 node.grad = None
 
     # -- operator sugar ------------------------------------------------
@@ -139,13 +184,17 @@ def _make(data, parents, backward, requires_grad=None):
     out = Tensor(data)
     if not _grad_enabled:
         return out
+    nodes = tuple(p._node for p in parents if p._node is not None)
     if requires_grad is None:
-        requires_grad = any(p.requires_grad for p in parents)
-    out.requires_grad = requires_grad
+        requires_grad = bool(nodes)
     if requires_grad:
-        out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward = backward
+        out._node = Node(backward, nodes)
     return out
+
+
+def _saved(a, needed):
+    """Array a if a backward reads it, else a zero-stride stand-in of its shape and dtype."""
+    return a if needed else np.broadcast_to(np.zeros((), a.dtype), a.shape)
 
 
 # -- elementwise --------------------------------------------------------
@@ -153,16 +202,17 @@ def _make(data, parents, backward, requires_grad=None):
 def add(a, b):
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
+    na, nb, a_shape, b_shape = a._node, b._node, a.shape, b.shape
 
     def bwd(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g, a_shape) if na is not None else None
+        gb = _unbroadcast(g, b_shape) if nb is not None else None
         if ga is not None and gb is not None and ga is gb:
             gb = gb.copy()
         if ga is not None:
-            a._accumulate(ga)
+            na.accumulate(ga)
         if gb is not None:
-            b._accumulate(gb)
+            nb.accumulate(gb)
 
     return _make(a.data + b.data, (a, b), bwd)
 
@@ -170,12 +220,14 @@ def add(a, b):
 def mul(a, b):
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
+    na, nb = a._node, b._node
+    ad, bd = _saved(a.data, nb is not None), _saved(b.data, na is not None)
 
     def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+        if na is not None:
+            na.accumulate(_unbroadcast(g * bd, ad.shape))
+        if nb is not None:
+            nb.accumulate(_unbroadcast(g * ad, bd.shape))
 
     return _make(a.data * b.data, (a, b), bwd)
 
@@ -188,20 +240,20 @@ def _sigmoid(z):
 
 
 def silu(x):
-    s = _sigmoid(x.data)
-    y = x.data * s
+    nx, xd = x._node, x.data
+    s = _sigmoid(xd)
 
     def bwd(g):
-        x._accumulate(g * (s * (1.0 + x.data * (1.0 - s))))
+        nx.accumulate(g * (s * (1.0 + xd * (1.0 - s))))
 
-    return _make(y, (x,), bwd)
+    return _make(xd * s, (x,), bwd)
 
 
 def relu(x):
-    mask = x.data > 0
+    nx, mask = x._node, x.data > 0
 
     def bwd(g):
-        x._accumulate(g * mask)
+        nx.accumulate(g * mask)
 
     return _make(x.data * mask, (x,), bwd)
 
@@ -209,34 +261,34 @@ def relu(x):
 # -- shape --------------------------------------------------------------
 
 def reshape(x, shape):
-    old = x.shape
+    nx, old = x._node, x.shape
 
     def bwd(g):
-        x._accumulate(g.reshape(old))
+        nx.accumulate(g.reshape(old))
 
     return _make(x.data.reshape(shape), (x,), bwd)
 
 
 def transpose(x, axes):
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
+    nx, inv = x._node, tuple(np.argsort(axes))
 
     def bwd(g):
-        x._accumulate(np.ascontiguousarray(g.transpose(inv)))
+        nx.accumulate(np.ascontiguousarray(g.transpose(inv)))
 
     return _make(np.ascontiguousarray(x.data.transpose(axes)), (x,), bwd)
 
 
 def concat(xs, axis):
-    sizes = [x.shape[axis] for x in xs]
-    offs = np.cumsum([0] + sizes)
+    nodes = [x._node for x in xs]
+    offs = np.cumsum([0] + [x.shape[axis] for x in xs])
 
     def bwd(g):
-        for x, lo, hi in zip(xs, offs[:-1], offs[1:]):
-            if x.requires_grad:
+        for nx, lo, hi in zip(nodes, offs[:-1], offs[1:]):
+            if nx is not None:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                x._accumulate(np.ascontiguousarray(g[tuple(idx)]))
+                nx.accumulate(np.ascontiguousarray(g[tuple(idx)]))
 
     return _make(np.concatenate([x.data for x in xs], axis=axis), tuple(xs), bwd)
 
@@ -244,11 +296,12 @@ def concat(xs, axis):
 def take(x, index):
     """Index x along axis 1 by an int (which drops the axis) or a slice."""
     idx = (slice(None), index)
+    nx, shape = x._node, x.shape
 
     def bwd(g):
-        gx = np.zeros(x.shape, dtype=g.dtype)
+        gx = np.zeros(shape, dtype=g.dtype)
         gx[idx] = g
-        x._accumulate(gx)
+        nx.accumulate(gx)
 
     return _make(np.ascontiguousarray(x.data[idx]), (x,), bwd)
 
@@ -256,12 +309,14 @@ def take(x, index):
 # -- reductions ---------------------------------------------------------
 
 def sum_(x, axis=None, keepdims=False):
+    nx, shape, dtype = x._node, x.shape, x.dtype
+
     def bwd(g):
         if axis is None:
-            x._accumulate(np.broadcast_to(g, x.shape).astype(x.dtype, copy=True))
+            nx.accumulate(np.broadcast_to(g, shape).astype(dtype, copy=True))
         else:
             ge = g if keepdims else np.expand_dims(g, axis)
-            x._accumulate(np.broadcast_to(ge, x.shape).astype(x.dtype, copy=True))
+            nx.accumulate(np.broadcast_to(ge, shape).astype(dtype, copy=True))
 
     return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)
 
@@ -285,20 +340,22 @@ def matmul(a, b):
         y = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (b.shape[-1],))
     else:
         y = np.matmul(a.data, b.data)
+    na, nb = a._node, b._node
+    ad, bd = _saved(a.data, nb is not None), _saved(b.data, na is not None)
 
     def bwd(g):
-        if a.requires_grad:
+        if na is not None:
             if flat_rhs:
-                ga = (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape)
+                ga = (g.reshape(-1, g.shape[-1]) @ bd.T).reshape(ad.shape)
             else:
-                ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-            a._accumulate(ga)
-        if b.requires_grad:
+                ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
+            na.accumulate(ga)
+        if nb is not None:
             if flat_rhs:
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-            b._accumulate(gb)
+                gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
+            nb.accumulate(gb)
 
     return _make(y, (a, b), bwd)
 
@@ -309,12 +366,13 @@ def softmax(x, axis=-1):
     y = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
+    nx = x._node
 
     def bwd(g):
         gy = g * y
         dot = gy.sum(axis=axis, keepdims=True)
         gy -= y * dot
-        x._accumulate(gy)
+        nx.accumulate(gy)
 
     return _make(y, (x,), bwd)
 
@@ -323,10 +381,11 @@ def log_softmax(x, axis=-1):
     z = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
     y = z - lse
+    nx = x._node
 
     def bwd(g):
         sm = np.exp(y)
-        x._accumulate(g - sm * g.sum(axis=axis, keepdims=True))
+        nx.accumulate(g - sm * g.sum(axis=axis, keepdims=True))
 
     return _make(y, (x,), bwd)
 
@@ -335,11 +394,12 @@ def gather_last(x, idx):
     """Pick x[i, idx[i]] from a 2-D tensor."""
     rows = np.arange(x.shape[0])
     idx = np.asarray(idx).reshape(-1)
+    nx, shape, dtype = x._node, x.shape, x.dtype
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype=dtype)
         gx[rows, idx] = g
-        x._accumulate(gx)
+        nx.accumulate(gx)
 
     return _make(x.data[rows, idx], (x,), bwd)
 
@@ -370,19 +430,20 @@ def layernorm(x, gamma, beta):
     var = np.mean(np.square(xn), axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xn *= inv
+    n, gd = x.shape[-1], gamma.data
+    nx, ngamma, nbeta = x._node, gamma._node, beta._node
 
     def bwd(g):
-        n = x.shape[-1]
-        if gamma.requires_grad:
-            gamma._accumulate((g * xn).reshape(-1, n).sum(axis=0))
-        if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, n).sum(axis=0))
-        if x.requires_grad:
-            gx = g * gamma.data
+        if ngamma is not None:
+            ngamma.accumulate((g * xn).reshape(-1, n).sum(axis=0))
+        if nbeta is not None:
+            nbeta.accumulate(g.reshape(-1, n).sum(axis=0))
+        if nx is not None:
+            gx = g * gd
             term = gx - gx.mean(axis=-1, keepdims=True) - xn * (gx * xn).mean(axis=-1, keepdims=True)
-            x._accumulate(term * inv)
+            nx.accumulate(term * inv)
 
-    return _make(xn * gamma.data + beta.data, (x, gamma, beta), bwd)
+    return _make(xn * gd + beta.data, (x, gamma, beta), bwd)
 
 
 # -- conv / resize ------------------------------------------------------
@@ -393,14 +454,17 @@ def conv1x1(x, w, b):
     wmat = w.data.reshape(c, o)
     y = x.data.reshape(-1, c) @ wmat + b.data
     y = y.reshape(x.shape[:3] + (o,))
+    nx, nw, nb = x._node, w._node, b._node
+    xd, wmat = _saved(x.data, nw is not None), _saved(wmat, nx is not None)
 
     def bwd(g):
         gmat = g.reshape(-1, o)
-        if w.requires_grad or b.requires_grad:
-            w._accumulate((x.data.reshape(-1, c).T @ gmat).reshape(1, 1, c, o))
-            b._accumulate(gmat.sum(axis=0))
-        if x.requires_grad:
-            x._accumulate((gmat @ wmat.T).reshape(x.shape))
+        if nw is not None:
+            nw.accumulate((xd.reshape(-1, c).T @ gmat).reshape(1, 1, c, o))
+        if nb is not None:
+            nb.accumulate(gmat.sum(axis=0))
+        if nx is not None:
+            nx.accumulate((gmat @ wmat.T).reshape(xd.shape))
 
     return _make(y, (x, w, b), bwd)
 
@@ -414,8 +478,10 @@ def conv2d(x, w, b, stride=1, pad=1):
     kh, kw, c, o = w.shape
     if kh == 1 and kw == 1 and stride == 1:
         return conv1x1(x, w, b)
+    inputs, nx, nw, nb = (x, w, b), x._node, w._node, b._node
+    x, w = x.data, w.data
     n, h, wd, _ = x.shape
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x.data
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wd + 2 * pad - kw) // stride + 1
     rows = n * ho * wo
@@ -428,35 +494,38 @@ def conv2d(x, w, b, stride=1, pad=1):
         for j in range(kw):
             np.copyto(scratch.reshape(n, ho, wo, c),
                       xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride, :])
-            np.matmul(scratch, w.data[i, j], out=y if first else tmp)
+            np.matmul(scratch, w[i, j], out=y if first else tmp)
             if not first:
                 y += tmp
             first = False
     y += b.data
     y = y.reshape(n, ho, wo, o)
+    # the input is read back for the weight grad, the weights for the input grad
+    x, w = _saved(x, nw is not None), _saved(w, nx is not None)
 
     def bwd(g):
         gmat = g.reshape(rows, o)
-        xp2 = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x.data
-        if b.requires_grad:
-            b._accumulate(gmat.sum(axis=0))
-        gx = np.zeros_like(xp2) if x.requires_grad else None
+        if nb is not None:
+            nb.accumulate(gmat.sum(axis=0))
+        if nw is not None:
+            xp2 = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
+            if nw.grad is None:
+                nw.grad = np.zeros(w.shape, dtype=w.dtype)
+        gx = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype) if nx is not None else None
         buf = np.empty((rows, c), dtype=x.dtype)
         for i in range(kh):
             for j in range(kw):
                 sl = (slice(None), slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride), slice(None))
-                if w.requires_grad:
+                if nw is not None:
                     np.copyto(buf.reshape(n, ho, wo, c), xp2[sl])
-                    if w.grad is None:
-                        w.grad = np.zeros_like(w.data)
-                    w.grad[i, j] += buf.T @ gmat
+                    nw.grad[i, j] += buf.T @ gmat
                 if gx is not None:
-                    np.matmul(gmat, w.data[i, j].T, out=buf)
+                    np.matmul(gmat, w[i, j].T, out=buf)
                     gx[sl] += buf.reshape(n, ho, wo, c)
         if gx is not None:
-            x._accumulate(gx[:, pad:gx.shape[1] - pad, pad:gx.shape[2] - pad, :] if pad else gx)
+            nx.accumulate(gx[:, pad:gx.shape[1] - pad, pad:gx.shape[2] - pad, :] if pad else gx)
 
-    return _make(y, (x, w, b), bwd)
+    return _make(y, inputs, bwd)
 
 
 def upsample2x(x):
@@ -465,10 +534,11 @@ def upsample2x(x):
     y = np.empty((n, h, 2, w, 2, c), dtype=x.dtype)
     y[...] = x.data[:, :, None, :, None, :]
     y = y.reshape(n, 2 * h, 2 * w, c)
+    nx = x._node
 
     def bwd(g):
         n2, h2, w2, c2 = g.shape
-        x._accumulate(g.reshape(n2, h2 // 2, 2, w2 // 2, 2, c2).sum(axis=(2, 4)))
+        nx.accumulate(g.reshape(n2, h2 // 2, 2, w2 // 2, 2, c2).sum(axis=(2, 4)))
 
     return _make(y, (x,), bwd)
 

@@ -196,3 +196,26 @@ def test_backward_after_no_grad_inference():
     assert set(after) == {"w", "b"}
     for k in before:
         assert np.array_equal(before[k], after[k])
+
+
+@pytest.mark.parametrize("frozen", ["w", "b"])
+def test_conv1x1_grads_only_what_needs_one(frozen):
+    rng = np.random.default_rng(13)
+    x = nn.Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True)
+    parts = {"w": rng.normal(size=(1, 1, 4, 5)), "b": rng.normal(size=5)}
+    parts = {k: nn.Tensor(v) if k == frozen else nn.Param(v) for k, v in parts.items()}
+    nn.mse(nn.conv1x1(x, parts["w"], parts["b"]), 0.0).backward()
+    assert parts[frozen].grad is None
+    assert all(t.grad is not None for k, t in parts.items() if k != frozen)
+    assert x.grad is not None
+
+
+def test_minimize_rejects_untaped_loss():
+    p = nn.Param(np.ones(3))
+    opt = nn.Adam({"p": p}, lr=0.1)
+    with nn.no_grad():
+        loss = nn.mse(p, 0.0)
+    with pytest.raises(RuntimeError, match="needs no grad"):
+        opt.minimize(loss, 0)
+    assert np.array_equal(p.data, np.ones(3))
+    assert opt.t == 0

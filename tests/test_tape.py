@@ -1,0 +1,178 @@
+"""What the autodiff tape keeps, and the gradients it must keep producing.
+
+The digests pin every parameter grad of one seeded forward and backward of
+each miniature model, and of a small op graph, bit for bit: a change to how
+the tape stores its arrays must not change a single grad bit. They hold for
+one numpy build (recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64).
+"""
+import hashlib
+import importlib.util
+import os
+import weakref
+
+import numpy as np
+import pytest
+
+from minimanip import diffusion, nn, pipeline, policies, prompts
+from minimanip import inverse_dynamics as idm
+
+
+def grad_digest(tensors):
+    """sha256 (first 16 hex digits) over the names, shapes, dtypes and bytes of the grads."""
+    h = hashlib.sha256()
+    for name, t in sorted(tensors.items()):
+        g = t.grad
+        h.update(name.encode())
+        if g is None:
+            h.update(b"no grad")
+        else:
+            g = np.ascontiguousarray(g)
+            h.update(f"{g.shape}{g.dtype}".encode())
+            h.update(g.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _frames(rng, *lead):
+    return rng.uniform(-1.0, 1.0, size=lead + (64, 64, 3)).astype(np.float32)
+
+
+def _prompt(rng, b=2):
+    return rng.normal(size=(b, prompts.EMBED_DIM)).astype(np.float32)
+
+
+def _bins(rng, *shape):
+    return rng.integers(0, 256, size=shape)
+
+
+def dvg_loss(rng):
+    model = diffusion.VideoDenoiser(rng, channels=(2, 3, 4), cond_dim=8, frames=2)
+    v = rng.normal(size=(2, 2, 64, 64, 3)).astype(np.float32)
+    pose = rng.uniform(size=(2, 2, 64, 64, 1)).astype(np.float32)
+    eps = rng.normal(size=v.shape).astype(np.float32)
+    pred = model(v, np.array([3, 7]), _prompt(rng), model.pose_features(pose), 10)
+    return model, nn.mse(pred, eps)
+
+
+def idm_loss(rng):
+    model = idm.ActionDecoder(rng, d=8, window=3, frame_blocks=1, temporal_blocks=1)
+    return model, nn.cross_entropy(model(_frames(rng, 2, 3)), _bins(rng, 2, 2, 3))
+
+
+def lcbc_loss(rng):
+    model = policies.SingleFramePolicy(rng, d=8, blocks=1)
+    return model, nn.cross_entropy(model(_frames(rng, 2), _prompt(rng)), _bins(rng, 2, 3))
+
+
+def rt1_loss(rng):
+    model = policies.HistoryPolicy(rng, d=8, blocks=1, history=2)
+    return model, nn.cross_entropy(model(_frames(rng, 2, 2), _prompt(rng)), _bins(rng, 2, 3))
+
+
+def classifier_loss(rng):
+    model = pipeline.VariantClassifier(rng, d=8)
+    return model, nn.cross_entropy(model(_frames(rng, 2)), rng.integers(0, 16, size=2))
+
+
+MODEL_LOSSES = {
+    "VideoDenoiser": (dvg_loss, "ddc7bc8d857ec7ad"),
+    "ActionDecoder": (idm_loss, "5783f2aa407bc6cd"),
+    "SingleFramePolicy": (lcbc_loss, "56219a12a3d56648"),
+    "HistoryPolicy": (rt1_loss, "59ffada85b2420ef"),
+    "VariantClassifier": (classifier_loss, "d62a1df4b49feda9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_LOSSES))
+def test_model_grads_are_pinned(name):
+    build, digest = MODEL_LOSSES[name]
+    model, loss = build(np.random.default_rng(3))
+    loss.backward()
+    assert grad_digest(model.params()) == digest
+
+
+def op_graph():
+    """A loss over broadcasting add/mul, a reused tensor, transpose, concat/take and a stride-2 conv.
+
+    Returns the leaves, the loss and a weak reference to the array of an add
+    output that only a transpose reads.
+    """
+    rng = np.random.default_rng(5)
+    leaves = {
+        "x": nn.Tensor(rng.normal(size=(2, 4, 5, 3)), requires_grad=True),
+        "shift": nn.Tensor(rng.normal(size=(3,)), requires_grad=True),
+        "gain": nn.Tensor(rng.normal(size=(1, 4, 1, 1)), requires_grad=True),
+        "w": nn.Tensor(0.4 * rng.normal(size=(3, 3, 6, 4)), requires_grad=True),
+        "b": nn.Tensor(rng.normal(size=(4,)), requires_grad=True),
+    }
+    s = leaves["x"] + leaves["shift"]
+    kept = weakref.ref(s.data)
+    t = nn.transpose(s, (0, 2, 1, 3))                # (2, 5, 4, 3)
+    m = nn.transpose(t * leaves["gain"].reshape(1, 1, 4, 1), (0, 2, 1, 3))
+    both = nn.concat([m, nn.silu(m)], axis=-1)      # m is read twice
+    h = nn.take(both, slice(0, 3)) + nn.take(both, slice(1, 4))
+    y = nn.conv2d(h, leaves["w"], leaves["b"], stride=2, pad=1)
+    return leaves, nn.mse(y, 0.25), kept
+
+
+OP_GRAPH_DIGEST = "dd3d040e24af5024"
+
+
+def test_op_graph_grads_are_pinned():
+    leaves, loss, _ = op_graph()
+    loss.backward()
+    assert grad_digest(leaves) == OP_GRAPH_DIGEST
+
+
+def test_shape_op_input_is_freed_after_forward():
+    """An add output that only a transpose reads dies with the forward pass."""
+    leaves, loss, kept = op_graph()
+    assert kept() is None
+    loss.backward()
+    assert grad_digest(leaves) == OP_GRAPH_DIGEST
+
+
+def tape_closures(loss):
+    """Every backward closure on the tape that ends at loss."""
+    closures, seen, stack = [], set(), [loss._node]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.backward is not None:
+            closures.append(node.backward)
+        stack.extend(node.parents)
+    return closures
+
+
+@pytest.mark.parametrize("build", [dvg_loss, idm_loss], ids=["VideoDenoiser", "ActionDecoder"])
+def test_tape_keeps_no_tensor(build):
+    _, loss = build(np.random.default_rng(3))
+    closures = tape_closures(loss)
+    assert len(closures) > 50
+    for fn in closures:
+        for cell in fn.__closure__ or ():
+            value = cell.cell_contents
+            items = value if isinstance(value, (list, tuple)) else (value,)
+            assert not any(isinstance(v, nn.Tensor) for v in items), fn.__qualname__
+
+
+def _perfbench_tracer():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_reads_the_tape(monkeypatch):
+    """perfbench's tracer wraps nn._make and names conv2d backward spans from the closure."""
+    monkeypatch.setattr(nn, "_make", nn._make)  # restored after the test
+    tracer = _perfbench_tracer().Tracer()
+    tracer._wrap_tape(nn)
+    rng = np.random.default_rng(4)
+    conv = nn.Conv2d(2, 4, rng, stride=2)
+    nn.mse(conv(nn.Tensor(rng.normal(size=(2, 6, 6, 2)))), 0.0).backward()
+    assert tracer.stats["nn.conv2d.bwd.6x6x2-4s2"].calls == 1
+    assert tracer.counts["nn.tape_ops"] > 0
+    assert conv.w.grad is not None
