@@ -18,9 +18,10 @@ def main():
           f"{[len(t.actions) for t in trajs]}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        data.save_trajectory(trajs[0], os.path.join(tmp, "ep0"))
-        print("\nepisode directory:", sorted(os.listdir(os.path.join(tmp, "ep0"))))
-        back = data.load_trajectory(os.path.join(tmp, "ep0"))
+        data.save_dataset(trajs[:1], tmp)
+        (name,) = os.listdir(tmp)
+        print(f"\nepisode file: {name} ({os.path.getsize(os.path.join(tmp, name))} bytes)")
+        back = data.load_trajectory(os.path.join(tmp, name))
         print("round trip bit-identical:", np.array_equal(back.frames, trajs[0].frames))
 
     sub = data.subsample_trajectory(trajs[0])

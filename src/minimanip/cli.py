@@ -69,14 +69,15 @@ def _cmd_train_dvg(args):
 
 
 def _cmd_sample(args):
-    from . import data, diffusion, env, pipeline, storage
+    from . import diffusion, env, pipeline, storage
     model, _ = storage.load_model(args.ckpt)
     schedule = diffusion.build_schedule(args.T, args.kind)
     task_id = env.get_task(args.task).task_id
     os.makedirs(args.out, exist_ok=True)
     videos = pipeline.sample_demo_videos(task_id, args.count, model, schedule, seed=args.seed)
     for m, (_, _, video) in enumerate(videos):
-        data.save_frames_bin(os.path.join(args.out, f"{task_id}_{m:03d}.bin"), video)
+        storage.save_arrays(os.path.join(args.out, f"{task_id}_{m:03d}.bin"), {"frames": video},
+                            {"kind": "video", "task_id": task_id, "seed": args.seed})
     print(f"sampled {args.count} videos to {args.out}")
 
 
@@ -94,12 +95,12 @@ def _cmd_train_idm(args):
 
 
 def _cmd_label(args):
-    from . import data, storage
+    from . import storage
     from . import inverse_dynamics as idm
     model, _ = storage.load_model(args.ckpt)
-    video = data.load_frames_bin(args.video)
-    actions = idm.label_video(model, video)
-    data.save_actions_bin(args.out, actions)
+    arrays, _ = storage.load_arrays(args.video, "video")
+    actions = idm.label_video(model, arrays["frames"])
+    storage.save_arrays(args.out, {"actions": actions}, {"kind": "actions", "video": args.video})
     print(f"labeled {len(actions)} steps -> {args.out}")
 
 

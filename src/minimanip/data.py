@@ -1,8 +1,9 @@
-"""Expert data collection, trajectory files, preprocessing, and discretization.
+"""Expert data collection, episode files, preprocessing, and discretization.
 
-Episode directories hold three files: a UTF-8 `manifest.txt` of key=value
-lines, `frames.bin` (magic MMTRJ1, u32 LE dims, raw uint8 pixels), and
-`actions.bin` (magic MMACT1, u32 LE step count, 3 f32 LE per step).
+An episode is one `storage` container of kind "episode": the uint8 `frames`
+and float32 `actions` arrays, with task id, seed, epsilon, success and the
+workspace layout in its JSON metadata. A dataset is a directory of such
+files, one per episode, named `<task_id>_<seed>.episode`.
 """
 from __future__ import annotations
 
@@ -11,16 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import env
-from .storage import read_exact, read_header, write_header
-
-FRAMES_MAGIC = b"MMTRJ1\x00\x00"
-ACTIONS_MAGIC = b"MMACT1\x00\x00"
+from . import env, storage
 
 SKIP = 3            # frame subsampling stride for video tensors
 VIDEO_FRAMES = 36   # fixed video length for the diffusion model
 N_BINS = 256
 WINDOW = 12         # default temporal window (frames) for action inference
+EPISODE_SUFFIX = ".episode"
 
 
 @dataclass
@@ -98,102 +96,40 @@ def collect(task, n_episodes=20, epsilon=0.1, max_steps=env.MAX_STEPS, seed=0):
 # Episode files
 # ---------------------------------------------------------------------------
 
-def _layout_items(layout):
-    # repr of builtin floats round-trips exactly
-    yield "layout.seed", str(layout.seed)
-    for k in sorted(layout.positions):
-        v = layout.positions[k]
-        yield f"layout.pos.{k}", f"{float(v[0])!r},{float(v[1])!r}"
-    for k in sorted(layout.scalars):
-        yield f"layout.scalar.{k}", repr(float(layout.scalars[k]))
+def save_trajectory(traj, path):
+    layout = traj.layout
+    storage.save_arrays(path, {"frames": traj.frames, "actions": traj.actions}, {
+        "kind": "episode", "task_id": traj.task_id, "seed": int(traj.seed),
+        "epsilon": float(traj.epsilon), "success": bool(traj.success),
+        "layout": {"seed": int(layout.seed),
+                   "positions": {k: [float(x) for x in v] for k, v in layout.positions.items()},
+                   "scalars": {k: float(v) for k, v in layout.scalars.items()}},
+    })
 
 
-def _layout_from_items(items):
-    pos, sca, seed = {}, {}, 0
-    for k, v in items.items():
-        if k == "layout.seed":
-            seed = int(v)
-        elif k.startswith("layout.pos."):
-            x, y = v.split(",")
-            pos[k[len("layout.pos."):]] = np.array([float(x), float(y)])
-        elif k.startswith("layout.scalar."):
-            sca[k[len("layout.scalar."):]] = float(v)
-    return env.WorkspaceLayout(positions=pos, scalars=sca, seed=seed)
-
-
-def save_trajectory(traj, dirpath):
-    os.makedirs(dirpath, exist_ok=True)
-    lines = [
-        f"task_id={traj.task_id}",
-        f"seed={traj.seed}",
-        f"epsilon={float(traj.epsilon)!r}",
-        f"n_steps={len(traj.actions)}",
-        f"success={int(traj.success)}",
-    ]
-    lines.extend(f"{k}={v}" for k, v in _layout_items(traj.layout))
-    with open(os.path.join(dirpath, "manifest.txt"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-    save_frames_bin(os.path.join(dirpath, "frames.bin"), traj.frames)
-    save_actions_bin(os.path.join(dirpath, "actions.bin"), traj.actions)
-
-
-def load_frames_bin(path):
-    with open(path, "rb") as f:
-        n, h, w, c = read_header(f, FRAMES_MAGIC, 4, path, "frames")
-        data = np.frombuffer(read_exact(f, n * h * w * c, path), dtype=np.uint8)
-    return data.reshape(n, h, w, c).copy()
-
-
-def save_frames_bin(path, frames):
-    frames = np.ascontiguousarray(frames, dtype=np.uint8)
-    with open(path, "wb") as f:
-        write_header(f, FRAMES_MAGIC, frames.shape)
-        f.write(frames.tobytes())
-
-
-def load_actions_bin(path):
-    with open(path, "rb") as f:
-        (n,) = read_header(f, ACTIONS_MAGIC, 1, path, "actions")
-        data = np.frombuffer(read_exact(f, n * 12, path), dtype="<f4")
-    return data.reshape(n, 3).copy()
-
-
-def save_actions_bin(path, actions):
-    actions = np.ascontiguousarray(actions, dtype="<f4")
-    with open(path, "wb") as f:
-        write_header(f, ACTIONS_MAGIC, [len(actions)])
-        f.write(actions.tobytes())
-
-
-def load_trajectory(dirpath):
-    items = {}
-    with open(os.path.join(dirpath, "manifest.txt"), encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                k, v = line.split("=", 1)
-                items[k] = v
+def load_trajectory(path):
+    arrays, meta = storage.load_arrays(path, "episode")
+    layout = meta["layout"]
     return Trajectory(
-        task_id=items["task_id"], seed=int(items["seed"]),
-        epsilon=float(items["epsilon"]),
-        frames=load_frames_bin(os.path.join(dirpath, "frames.bin")),
-        actions=load_actions_bin(os.path.join(dirpath, "actions.bin")),
-        success=bool(int(items["success"])),
-        layout=_layout_from_items(items),
+        task_id=meta["task_id"], seed=meta["seed"], epsilon=meta["epsilon"],
+        frames=arrays["frames"], actions=arrays["actions"], success=meta["success"],
+        layout=env.WorkspaceLayout(
+            positions={k: np.array(v) for k, v in layout["positions"].items()},
+            scalars=layout["scalars"], seed=layout["seed"]),
     )
 
 
 def save_dataset(trajs, root):
-    for i, t in enumerate(trajs):
-        save_trajectory(t, os.path.join(root, f"{t.task_id}_{t.seed:08d}"))
+    os.makedirs(root, exist_ok=True)
+    for t in trajs:
+        save_trajectory(t, os.path.join(root, f"{t.task_id}_{t.seed:08d}{EPISODE_SUFFIX}"))
 
 
 def load_dataset(root, task_ids=None):
     out = []
     for name in sorted(os.listdir(root)):
-        d = os.path.join(root, name)
-        if os.path.isdir(d) and os.path.exists(os.path.join(d, "manifest.txt")):
-            t = load_trajectory(d)
+        if name.endswith(EPISODE_SUFFIX):
+            t = load_trajectory(os.path.join(root, name))
             if task_ids is None or t.task_id in task_ids:
                 out.append(t)
     return out

@@ -6,30 +6,54 @@ from minimanip import inverse_dynamics as idm
 
 
 def test_collect_label_eval_chain(tmp_path, capsys):
-    cli.main(["collect", "--task", "reach", "--episodes", "1", "--seed", "0",
-              "--out", str(tmp_path / "episodes")])
-    (traj,) = data.load_dataset(tmp_path / "episodes")
-    video = tmp_path / "video.bin"
-    data.save_frames_bin(video, data.subsample_frames(traj))
+    """Every file the chain writes is a storage container: episodes, the DVG
+    checkpoint, sampled videos, labelled actions and the policy checkpoint."""
+    episodes, dvg_ckpt, videos = tmp_path / "episodes", tmp_path / "dvg.ckpt", tmp_path / "videos"
+    cli.main(["collect", "--task", "reach", "--episodes", "1", "--seed", "0", "--out", str(episodes)])
+    cli.main(["train-dvg", "--fold", "1", "--data", str(episodes), "--steps", "1", "--out", str(dvg_ckpt)])
+    cli.main(["sample", "--ckpt", str(dvg_ckpt), "--task", "reach", "--T", "2", "--out", str(videos)])
 
     idm_ckpt = tmp_path / "idm.ckpt"
     init = {"d": 16, "frame_blocks": 1, "temporal_blocks": 1}
     storage.save_model(idm_ckpt, idm.ActionDecoder(np.random.default_rng(0), **init), "idm", init)
     actions = tmp_path / "actions.bin"
-    cli.main(["label", "--ckpt", str(idm_ckpt), "--video", str(video), "--out", str(actions)])
-    labels = data.load_actions_bin(actions)
+    cli.main(["label", "--ckpt", str(idm_ckpt), "--video", str(videos / "reach_000.bin"), "--out", str(actions)])
+    labels = storage.load_arrays(actions, "actions")[0]["actions"]
     assert labels.shape == (35, 3)
     assert np.all(np.abs(labels) <= 1.0)
 
     lcbc_ckpt = tmp_path / "lcbc.ckpt"
-    init = {"d": 16, "blocks": 1}
-    storage.save_model(lcbc_ckpt, policies.make_policy("lcbc", np.random.default_rng(1), **init),
-                       "lcbc", init)
+    cli.main(["train-policy", "--arch", "lcbc", "--data", str(episodes), "--steps", "1", "--out", str(lcbc_ckpt)])
     cli.main(["eval", "--ckpt", str(lcbc_ckpt), "--task", "reach", "--episodes", "1"])
     out = capsys.readouterr().out
     assert "saved 1 episodes" in out
+    assert "sampled 1 videos" in out
     assert "labeled 35 steps" in out
+    assert "trained lcbc" in out
     assert "reach: accomplishment rate" in out
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == [
+        "actions.bin", "dvg.ckpt", "idm.ckpt", "lcbc.ckpt", "reach_000.bin", "reach_00000000.episode"]
+
+
+@pytest.mark.parametrize("loader", ["load_trajectory", "label", "load_model"])
+def test_loaders_reject_other_kinds(tmp_path, loader):
+    idm_ckpt = tmp_path / "idm.ckpt"
+    init = {"d": 16, "frame_blocks": 1, "temporal_blocks": 1}
+    storage.save_model(idm_ckpt, idm.ActionDecoder(np.random.default_rng(0), **init), "idm", init)
+    load, accepts = {
+        "load_trajectory": (data.load_trajectory, ("episode",)),
+        "label": (lambda p: cli.main(["label", "--ckpt", str(idm_ckpt), "--video", str(p),
+                                      "--out", str(tmp_path / "out.bin")]), ("video",)),
+        "load_model": (storage.load_model, storage.MODEL_KINDS),
+    }[loader]
+    expected = " or ".join(f"'{k}'" for k in accepts)
+    for kind in ("episode", "video", "actions", "idm"):
+        if kind in accepts:
+            continue
+        path = tmp_path / f"{kind}.bin"
+        storage.save_arrays(path, {"x": np.ones(2, np.uint8)}, {"kind": kind})
+        with pytest.raises(ValueError, match=f"{kind}.bin holds kind '{kind}', expected {expected}"):
+            load(path)
 
 
 def test_sample_writes_the_videos_generate_demonstrations_samples(tmp_path):
@@ -44,7 +68,7 @@ def test_sample_writes_the_videos_generate_demonstrations_samples(tmp_path):
     written = sorted((tmp_path / "videos").iterdir())
     assert [p.name for p in written] == [f"door-open_{m:03d}.bin" for m in range(3)]
     for path, demo in zip(written, demos):
-        assert np.array_equal(data.load_frames_bin(path), demo.video)
+        assert np.array_equal(storage.load_arrays(path, "video")[0]["frames"], demo.video)
 
 
 @pytest.mark.parametrize("line,message", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from minimanip import data, env, storage
 from minimanip import inverse_dynamics as idm
@@ -24,8 +25,7 @@ def test_collect_deterministic(tmp_path):
     b = data.collect("drawer-open", n_episodes=1, epsilon=0.0, seed=5)[0]
     data.save_trajectory(a, tmp_path / "a")
     data.save_trajectory(b, tmp_path / "b")
-    for name in ("manifest.txt", "frames.bin", "actions.bin"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
 
 def test_collect_epsilon_lengthens_episodes():
@@ -47,15 +47,16 @@ def test_file_round_trip(tmp_path, short_traj):
     assert back.layout.scalars == short_traj.layout.scalars
 
 
-def test_frames_bin_magic(tmp_path, short_traj):
-    data.save_trajectory(short_traj, tmp_path / "ep")
-    raw = (tmp_path / "ep" / "frames.bin").read_bytes()
-    assert raw[:8] == b"MMTRJ1\x00\x00"
-    n, h, w, c = np.frombuffer(raw[8:24], dtype="<u4")
-    assert (h, w, c) == (64, 64, 3)
-    assert len(raw) == 24 + n * h * w * c
-    raw_a = (tmp_path / "ep" / "actions.bin").read_bytes()
-    assert raw_a[:8] == b"MMACT1\x00\x00"
+def test_episode_file_layout(tmp_path, short_traj):
+    data.save_dataset([short_traj], tmp_path)
+    (path,) = tmp_path.iterdir()
+    assert path.name == f"window-close_{short_traj.seed:08d}.episode"
+    assert path.read_bytes()[:8] == b"MMARR1\x00\x00"
+    arrays, meta = storage.load_arrays(path, "episode")
+    assert arrays["frames"].dtype == np.uint8 and arrays["frames"].shape[1:] == (64, 64, 3)
+    assert arrays["actions"].dtype == np.float32 and arrays["actions"].shape[1:] == (3,)
+    assert {k: meta[k] for k in ("task_id", "seed", "epsilon", "success")} == {
+        "task_id": "window-close", "seed": 2, "epsilon": 0.0, "success": True}
 
 
 def test_subsample_index_arithmetic():
@@ -185,29 +186,104 @@ def test_window_coverage_reconstruction(short_traj):
     assert np.array_equal(frames, data.edge_extract_video(sub.frames)[:len(frames)])
 
 
-_BINARY_FORMATS = {
-    "frames": (lambda p: data.save_frames_bin(p, np.arange(96, dtype=np.uint8).reshape(2, 4, 4, 3)),
-               data.load_frames_bin),
-    "actions": (lambda p: data.save_actions_bin(p, np.linspace(-1, 1, 12).reshape(4, 3)),
-                data.load_actions_bin),
-    "checkpoint": (lambda p: storage.save_checkpoint(p, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(3)},
-                                                     {"kind": "idm"}),
-                   storage.load_checkpoint),
-}
+def _header_fields(raw):
+    """(offset, width) of every fixed-width header field of a container file."""
+    (meta_len,) = np.frombuffer(raw[12:16], dtype="<u4")
+    fields = [(0, 8), (8, 4), (12, 4), (16 + meta_len, 4)]
+    pos = 20 + meta_len
+    for _ in range(int(np.frombuffer(raw[pos - 4:pos], dtype="<u4")[0])):
+        (name_len,) = np.frombuffer(raw[pos:pos + 4], dtype="<u4")
+        fields.append((pos, 4))
+        pos += 4 + int(name_len)
+        code, ndim = np.frombuffer(raw[pos:pos + 8], dtype="<u4")
+        dims = np.frombuffer(raw[pos + 8:pos + 8 + 4 * int(ndim)], dtype="<u4")
+        fields.extend((pos + 4 * i, 4) for i in range(2 + len(dims)))
+        pos += 8 + 4 * len(dims) + (1 if code == 1 else 4) * int(np.prod(dims))
+    assert pos == len(raw)
+    return fields
 
 
-@pytest.mark.parametrize("fmt", sorted(_BINARY_FORMATS))
-def test_truncated_file_names_path(tmp_path, fmt):
-    save, load = _BINARY_FORMATS[fmt]
-    path = tmp_path / "full.bin"
-    save(path)
+_PARAM_NAMES = ("blocks.0.attn.w", "blocks.0.ln.g", "head.b", "head.w", "stem.conv.w")
+_small_floats = st.floats(-2, 2, width=32)
+
+
+@st.composite
+def _episode_file(draw, path):
+    n = draw(st.integers(1, 3))
+    hw = draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=3))
+    traj = data.Trajectory(
+        task_id=draw(st.sampled_from(env.TASK_IDS)), seed=draw(st.integers(0, 2**31)),
+        epsilon=draw(st.floats(0, 1)), success=draw(st.booleans()),
+        frames=draw(hnp.arrays(np.uint8, (n + 1, *hw, 3))),
+        actions=draw(hnp.arrays(np.float32, (n, 3), elements=st.floats(-1, 1, width=32))),
+        layout=env.WorkspaceLayout(positions={"handle": np.array(draw(st.tuples(_small_floats, _small_floats)))},
+                                   scalars={"angle": draw(_small_floats)}, seed=draw(st.integers(0, 2**31))))
+    data.save_trajectory(traj, path)
+    return data.load_trajectory
+
+
+@st.composite
+def _checkpoint_file(draw, path):
+    names = draw(st.lists(st.sampled_from(_PARAM_NAMES), min_size=1, max_size=4, unique=True))
+    state = {k: draw(hnp.arrays(np.float32, hnp.array_shapes(max_dims=4, max_side=3), elements=_small_floats))
+             for k in names}
+    storage.save_arrays(path, state, {"kind": "idm", "init": {"d": draw(st.integers(1, 64))}})
+    return lambda p: storage.load_arrays(p, storage.MODEL_KINDS)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("fmt", ["episode", "checkpoint"])
+def test_corrupt_file_names_path(tmp_path_factory, fmt, draw):
+    """Every truncation and every one-bit flip in a fixed-width header field raises
+    a ValueError naming the file (flips inside the payload are not detected)."""
+    tmp = tmp_path_factory.mktemp(fmt)
+    path = tmp / "full.bin"
+    load = draw.draw({"episode": _episode_file, "checkpoint": _checkpoint_file}[fmt](path))
     load(path)  # the whole file reads back
     raw = path.read_bytes()
-    cut = tmp_path / "cut.bin"
-    for size in range(len(raw)):
-        cut.write_bytes(raw[:size])
-        with pytest.raises(ValueError, match="cut.bin"):
-            load(cut)
+    corrupt = [raw[:size] for size in range(len(raw))]
+    for off, width in _header_fields(raw):
+        for bit in range(8 * width):
+            flipped = bytearray(raw)
+            flipped[off + bit // 8] ^= 1 << bit % 8
+            corrupt.append(bytes(flipped))
+    bad = tmp / "bad.bin"
+    for blob in corrupt:
+        bad.write_bytes(blob)
+        with pytest.raises(ValueError, match="bad.bin"):
+            load(bad)
+
+
+def test_corrupt_metadata_names_path(tmp_path):
+    path = tmp_path / "p.ckpt"
+    storage.save_arrays(path, {"w": np.ones(3)}, {"kind": "idm", "init": {}})
+    raw = bytearray(path.read_bytes())
+    raw[17] ^= 0x80  # inside the JSON text: no longer UTF-8
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="corrupt metadata in .*p.ckpt"):
+        storage.load_arrays(path, "idm")
+
+
+def test_trailing_bytes_name_path(tmp_path):
+    path = tmp_path / "v.bin"
+    storage.save_arrays(path, {"frames": np.zeros((12, 4, 4, 3), np.uint8)}, {"kind": "video"})
+    raw = bytearray(path.read_bytes())
+    first_dim, _ = _header_fields(raw)[-4]
+    raw[first_dim] ^= 0x08  # frame count 12 -> 4
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="384 bytes after the last array in .*v.bin"):
+        storage.load_arrays(path, "video")
+
+
+def test_failed_save_keeps_the_old_file(tmp_path):
+    path = tmp_path / "ep.episode"
+    storage.save_arrays(path, {"frames": np.ones((2, 2), np.uint8)}, {"kind": "video"})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):  # "b" is written after "a" and does not convert to float32
+        storage.save_arrays(path, {"a": np.zeros(3), "b": np.array(["x"])}, {"kind": "video"})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ep.episode"]
 
 
 def test_discretize_endpoints():

@@ -115,10 +115,9 @@ def test_checkpoint_magic(tmp_path):
     m = policies.make_policy("lcbc", np.random.default_rng(0), d=32, blocks=1)
     path = tmp_path / "p.ckpt"
     storage.save_model(path, m, "lcbc", {"d": 32, "blocks": 1})
-    raw = path.read_bytes()
-    assert raw[:8] == b"MMCKP1\x00\x00"
-    with pytest.raises(ValueError, match="bad checkpoint magic"):
-        storage.load_checkpoint(__file__)
+    assert path.read_bytes()[:8] == b"MMARR1\x00\x00"
+    with pytest.raises(ValueError, match="bad magic in .*test_pipeline.py"):
+        storage.load_model(__file__)
 
 
 def test_generate_demonstrations_smoke():
