@@ -255,6 +255,27 @@ def test_corrupt_file_names_path(tmp_path_factory, fmt, draw):
             load(bad)
 
 
+_SINGLE_ARRAY_FILES = {  # a sampled video and its labelled actions, as `minimanip sample` / `label` write them
+    "frames": ({"frames": np.arange(96, dtype=np.uint8).reshape(2, 4, 4, 3)}, "video"),
+    "actions": ({"actions": np.linspace(-1, 1, 12, dtype=np.float32).reshape(4, 3)}, "actions"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_SINGLE_ARRAY_FILES))
+def test_truncated_file_names_path(tmp_path, fmt):
+    arrays, kind = _SINGLE_ARRAY_FILES[fmt]
+    path = tmp_path / "full.bin"
+    storage.save_arrays(path, arrays, {"kind": kind})
+    back, meta = storage.load_arrays(path, kind)  # the whole file reads back
+    assert meta["kind"] == kind and np.array_equal(back[fmt], arrays[fmt])
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(ValueError, match="cut.bin"):
+            storage.load_arrays(cut, kind)
+
+
 def test_corrupt_metadata_names_path(tmp_path):
     path = tmp_path / "p.ckpt"
     storage.save_arrays(path, {"w": np.ones(3)}, {"kind": "idm", "init": {}})
