@@ -37,14 +37,13 @@ def _cmd_expand(args):
 
 
 def _cmd_similarity(args):
-    from . import env, prompts
+    from . import env, prompts, storage
     descs = [t.description for t in env.REGISTRY.values()]
     names = list(env.REGISTRY)
     mat = prompts.similarity_matrix([prompts.expand_prompt(d) for d in descs])
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write("task," + ",".join(names) + "\n")
-        for name, row in zip(names, mat):
-            f.write(name + "," + ",".join(f"{v:.6f}" for v in row) + "\n")
+    lines = ["task," + ",".join(names)]
+    lines += [name + "," + ",".join(f"{v:.6f}" for v in row) for name, row in zip(names, mat)]
+    storage.save_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {mat.shape[0]}x{mat.shape[1]} similarity matrix to {args.out}")
 
 
@@ -105,15 +104,15 @@ def _cmd_label(args):
 
 
 def _cmd_idm_study(args):
+    from . import storage
     from . import inverse_dynamics as idm
     rows = idm.generalization_study(
         [int(v) for v in args.families.split(",")],
         [int(v) for v in args.traj.split(",")],
         seed=args.seed)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write("families,traj_per_task,few_shot_acc,zero_shot_acc\n")
-        for r in rows:
-            f.write(f"{r['families']},{r['traj_per_task']},{r['few_shot_acc']:.4f},{r['zero_shot_acc']:.4f}\n")
+    lines = ["families,traj_per_task,few_shot_acc,zero_shot_acc"]
+    lines += [f"{r['families']},{r['traj_per_task']},{r['few_shot_acc']:.4f},{r['zero_shot_acc']:.4f}" for r in rows]
+    storage.save_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(rows)} cells to {args.out}")
 
 
@@ -188,17 +187,16 @@ def _cmd_crossval(args):
 
 def _cmd_report(args):
     from . import pipeline
-    with open(os.path.join(args.indir, "report.json"), encoding="utf-8") as f:
-        payload = json.load(f)
+    path = os.path.join(args.indir, "report.json")
+    try:
+        with open(path, encoding="utf-8") as f:
+            reports = [pipeline.ExperimentReport(**r) for r in json.load(f)["reports"]]
+    except (OSError, ValueError, LookupError, TypeError) as e:
+        raise SystemExit(f"cannot read crossval report {path}: {e}") from None
     if args.format == "csv":
-        with open(os.path.join(args.indir, "rates.csv"), encoding="utf-8") as f:
-            sys.stdout.write(f.read())
+        sys.stdout.write(pipeline.reports_to_csv(reports))
     else:
-        lines = ["| fold | arm | arch | few-shot | zero-shot |", "|---|---|---|---|---|"]
-        for r in payload["reports"]:
-            lines.append(f"| {r['fold']} | {r['arm']} | {r['arch']} | "
-                         f"{r['totals']['few_shot']} | {r['totals']['zero_shot']} |")
-        print("\n".join(lines))
+        print(pipeline.summarize(reports))
 
 
 def main(argv=None):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import env, storage
 
-SKIP = 3            # frame subsampling stride for video tensors
+SKIP = env.SIM_STEPS_PER_FRAME  # frame subsampling stride for video tensors
 VIDEO_FRAMES = 36   # fixed video length for the diffusion model
 N_BINS = 256
 WINDOW = 12         # default temporal window (frames) for action inference
@@ -209,7 +209,7 @@ def edge_extract_video(frames):
     return np.repeat(out[..., None], 3, axis=-1)
 
 
-def inject_noise(frames, sigma=10.0, rng=None):
+def inject_noise(frames, sigma, rng):
     """Pixels plus per-channel Gaussian noise, clamped to [0, 255], as float32.
 
     The output is not rounded, so it keeps sub-pixel noise. With sigma 0 it
@@ -219,7 +219,6 @@ def inject_noise(frames, sigma=10.0, rng=None):
         raise ValueError("invalid sigma")
     out = np.array(frames, dtype=np.float32)
     if sigma > 0:
-        rng = rng if rng is not None else np.random.default_rng()
         out += rng.normal(0.0, sigma, size=out.shape).astype(np.float32)
         np.clip(out, 0.0, 255.0, out=out)
     return out

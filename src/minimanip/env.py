@@ -19,15 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import storage
+
 RES = 64              # frame edge, pixels
 STEP = 0.05           # workspace units of displacement per unit action
 MAX_STEPS = 500
+SIM_STEPS_PER_FRAME = 3  # simulator steps per frame of a (subsampled) demonstration video
 ENGAGE_R = 0.045      # gripper-to-handle distance that counts as grasped
-EXPERT_CAP = 1.0 / 3  # expert per-step action magnitude; keeps 3-step sums in [-1, 1]
+EXPERT_CAP = 1.0 / SIM_STEPS_PER_FRAME  # expert per-step action magnitude; keeps one frame's sums in [-1, 1]
 NEAR_TOL = 0.03       # grab distance: ~2 px, visually resolvable, still well inside ENGAGE_R
 WALL_HALF = 0.018
 ARC_STEP = 0.15       # radians between arc waypoints for hinge/knob drags
-GRAB_ALIGN = 3        # expert grasps start on multiples of the frame-subsampling stride
+GRAB_ALIGN = SIM_STEPS_PER_FRAME  # expert grasps start on frame boundaries
 
 # Per-family mechanism constants and success thresholds. Success geometry is an
 # artifact choice (tuned so experts always succeed and random policies almost
@@ -232,8 +235,7 @@ def write_registry(path):
     lines = ["task_id\tfamily\tvariant\tfold\tdescription"]
     for t in REGISTRY.values():
         lines.append(f"{t.task_id}\t{t.family}\t{t.task_id}\t{t.fold}\t{t.description}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    storage.save_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

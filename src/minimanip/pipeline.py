@@ -109,7 +109,7 @@ def quality_proxies(demo, classifier):
     plausible = bool(max_disp <= 1.5 * env.STEP
                      and demo.video.dtype == np.uint8
                      and demo.video.min() >= 0 and demo.video.max() <= 255)
-    consistent = classifier.predict_video(demo.video) == demo.task_id if classifier is not None else False
+    consistent = classifier.predict_video(demo.video) == demo.task_id
     flags = {"replay_success": bool(replay_ok), "plausible": plausible, "consistent": bool(consistent)}
     demo.flags.update(flags)
     return flags
@@ -117,7 +117,7 @@ def quality_proxies(demo, classifier):
 
 def filter_demonstrations(demos):
     """Keep demos whose labeled actions replay successfully and look sane."""
-    kept = [d for d in demos if d.flags.get("replay_success") and d.flags.get("plausible")]
+    kept = [d for d in demos if d.flags["replay_success"] and d.flags["plausible"]]
     stats = {
         "total": len(demos),
         "kept": len(kept),
@@ -158,8 +158,8 @@ def sample_demo_videos(task, n_demos, dvg_model, schedule, seed=0, batch=8):
 
 
 def generate_demonstrations(task, n_demos, dvg_model, idm_model, schedule,
-                            seed=0, batch=8, classifier=None):
-    """Alg.-2 loop: expand text, plan poses, sample videos, label actions."""
+                            seed=0, batch=8, *, classifier):
+    """Alg.-2 loop: expand text, plan poses, sample videos, label actions, flag each demo."""
     if n_demos < 1:
         raise ValueError("n_demos must be >= 1")
     task_id = env.get_task(task).task_id
@@ -167,9 +167,8 @@ def generate_demonstrations(task, n_demos, dvg_model, idm_model, schedule,
                            video=video, actions=idm_mod.label_video(idm_model, video))
              for layout, poses, video in sample_demo_videos(task, n_demos, dvg_model, schedule,
                                                             seed, batch)]
-    if classifier is not None:
-        for d in demos:
-            quality_proxies(d, classifier)
+    for d in demos:
+        quality_proxies(d, classifier)
     return demos
 
 
@@ -242,28 +241,23 @@ class CrossvalConfig:
 
 @dataclass
 class ExperimentReport:
+    """One crossval run: an architecture behavior-cloned on one arm of a fold, scored on every task."""
     fold: int
     arm: str                        # "expert" | "generated"
     arch: str
     rates: dict                     # task_id -> accomplishment rate
-    passes: dict                    # setting -> {family: bool}
     totals: dict                    # setting -> "passed/8"
-    config_hash: str
-    seed: int
+    passes: dict                    # setting -> {family: bool}
 
 
 def _report(fold, arm, arch, rates, cfg):
     split = data.fold_split(fold)
-    passes, totals = {}, {}
-    for setting, tasks in (("few_shot", split.few_shot), ("zero_shot", split.zero_shot)):
-        fam_pass = {}
-        for tid in tasks:
-            fam_pass[env.get_task(tid).family] = rates[tid] >= cfg.pass_threshold
-        passes[setting] = fam_pass
-        totals[setting] = f"{sum(fam_pass.values())}/{len(fam_pass)}"
-    return ExperimentReport(fold=fold, arm=arm, arch=arch, rates=rates,
-                            passes=passes, totals=totals,
-                            config_hash=cfg.hash(), seed=cfg.seed)
+    passes = {}
+    for setting in ("few_shot", "zero_shot"):
+        passes[setting] = {env.get_task(tid).family: bool(rates[tid] >= cfg.pass_threshold)
+                           for tid in getattr(split, setting)}
+    totals = {setting: f"{sum(p.values())}/{len(p)}" for setting, p in passes.items()}
+    return ExperimentReport(fold, arm, arch, rates, totals, passes)
 
 
 def train_dvg_for_fold(trajs, cfg, seed_offset=0):
@@ -381,38 +375,26 @@ def run_crossval(cfg=None, out_dir=None, log=print):
 def reports_to_csv(reports):
     lines = ["fold,arm,arch,setting,task_id,family,rate,passed"]
     for r in reports:
-        for fold_setting, fam_pass in r.passes.items():
-            split = data.fold_split(r.fold)
-            tasks = split.few_shot if fold_setting == "few_shot" else split.zero_shot
-            for tid in tasks:
+        for setting, fam_pass in r.passes.items():
+            for tid in getattr(data.fold_split(r.fold), setting):
                 fam = env.get_task(tid).family
-                lines.append(f"{r.fold},{r.arm},{r.arch},{fold_setting},{tid},{fam},"
+                lines.append(f"{r.fold},{r.arm},{r.arch},{setting},{tid},{fam},"
                              f"{r.rates[tid]:.4f},{int(fam_pass[fam])}")
     return "\n".join(lines) + "\n"
 
 
 def summarize(reports):
-    lines = ["fold  arm        arch   few-shot  zero-shot"]
-    for r in reports:
-        lines.append(f"{r.fold}     {r.arm:<9s}  {r.arch:<5s}  {r.totals['few_shot']:>7s}  {r.totals['zero_shot']:>8s}")
+    """Markdown table of each run's few-shot and zero-shot pass totals."""
+    lines = ["| fold | arm | arch | few-shot | zero-shot |", "|---|---|---|---|---|"]
+    lines += [f"| {r.fold} | {r.arm} | {r.arch} | {r.totals['few_shot']} | {r.totals['zero_shot']} |"
+              for r in reports]
     return "\n".join(lines)
 
 
 def write_reports(out_dir, reports, quality, cfg):
-    with open(os.path.join(out_dir, "rates.csv"), "w", encoding="utf-8") as f:
-        f.write(reports_to_csv(reports))
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as f:
-        f.write(summarize(reports) + "\n")
-    payload = {
-        "config_hash": cfg.hash(),
-        "config": asdict(cfg),
-        "quality": quality,
-        "reports": [
-            {"fold": r.fold, "arm": r.arm, "arch": r.arch, "rates": r.rates,
-             "totals": r.totals,
-             "passes": {s: {f: bool(v) for f, v in d.items()} for s, d in r.passes.items()}}
-            for r in reports
-        ],
-    }
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, default=str)
+    """report.json, the record of the run, and its two views rates.csv and summary.txt."""
+    payload = {"config_hash": cfg.hash(), "config": asdict(cfg), "quality": quality,
+               "reports": [asdict(r) for r in reports]}
+    storage.save_text(os.path.join(out_dir, "rates.csv"), reports_to_csv(reports))
+    storage.save_text(os.path.join(out_dir, "summary.txt"), summarize(reports) + "\n")
+    storage.save_text(os.path.join(out_dir, "report.json"), json.dumps(payload, indent=2, default=str))

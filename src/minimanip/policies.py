@@ -16,7 +16,7 @@ from . import data, env, nn, prompts
 from .inverse_dynamics import FrameEncoder, PatchStem
 
 HISTORY = 6
-HISTORY_STRIDE = 3
+HISTORY_STRIDE = data.SKIP  # one history frame per video frame
 LR, LR_FINAL = 1e-3, 2e-4   # cosine-decayed from LR to LR_FINAL over training
 AUG_NOISE = 0.04            # Gaussian noise in [-1,1] frame units
 AUG_SHIFT = 6               # random frame shift (px); actions depend only

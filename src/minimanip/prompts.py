@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import env
-from .data import VIDEO_FRAMES
+from .data import SKIP, VIDEO_FRAMES
 
 EMBED_DIM = 32
 
@@ -163,7 +163,7 @@ def task_embedding(task):
 # Pose planning
 # ---------------------------------------------------------------------------
 
-POSE_STEP = 0.05  # workspace units per pose step; equals 3 expert sim steps
+POSE_STEP = SKIP * env.EXPERT_CAP * env.STEP  # workspace units per pose step: one frame of expert motion
 
 
 def plan_pose(task, layout):

@@ -1,7 +1,8 @@
-"""The one file container: named arrays plus JSON metadata.
+"""The one file container (named arrays plus JSON metadata) and the one text writer.
 
 Every artifact the pipeline writes (episodes, sampled videos, labelled
-actions, model checkpoints) is one such file. Layout: magic MMARR1, u32
+actions, model checkpoints) is one such file, and every text file goes
+through `save_text`; both write atomically. Layout: magic MMARR1, u32
 version, u32 meta length + UTF-8 JSON metadata, u32 array count, then per
 array: u32 name length, UTF-8 name, u32 dtype code, u32 ndim, u32 dims, raw
 data. uint8 arrays are stored as is, everything else as float32; all
@@ -10,6 +11,7 @@ file holds, and every reader states the kinds it accepts.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -32,31 +34,43 @@ def config_hash(obj):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def save_arrays(path, arrays, meta):
-    """Write named arrays and a metadata dict (with a `kind`) to path, atomically.
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file next to path, renamed onto it once the block finishes.
 
-    The file is written next to path and renamed onto it, so a save that
-    fails leaves any earlier file at path as it was.
+    A block that raises removes that file and leaves any earlier file at path as it was.
     """
-    blob = json.dumps(meta, sort_keys=True).encode()
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(MAGIC + struct.pack("<II", VERSION, len(blob)) + blob + struct.pack("<I", len(arrays)))
-            for name in sorted(arrays):
-                a = np.asarray(arrays[name])
-                a = np.ascontiguousarray(a, dtype=np.uint8 if a.dtype == np.uint8 else "<f4")
-                if a.size == 0:
-                    raise ValueError(f"cannot store the empty array {name!r} in {path}")
-                nb = name.encode()
-                f.write(struct.pack("<I", len(nb)) + nb
-                        + struct.pack(f"<{2 + a.ndim}I", _CODES[a.dtype], a.ndim, *a.shape))
-                f.write(a.tobytes())
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def save_text(path, text):
+    """Write text to path as UTF-8, atomically."""
+    with _replacing(path) as f:
+        f.write(text.encode("utf-8"))
+
+
+def save_arrays(path, arrays, meta):
+    """Write named arrays and a metadata dict (with a `kind`) to path, atomically."""
+    blob = json.dumps(meta, sort_keys=True).encode()
+    with _replacing(path) as f:
+        f.write(MAGIC + struct.pack("<II", VERSION, len(blob)) + blob + struct.pack("<I", len(arrays)))
+        for name in sorted(arrays):
+            a = np.asarray(arrays[name])
+            a = np.ascontiguousarray(a, dtype=np.uint8 if a.dtype == np.uint8 else "<f4")
+            if a.size == 0:
+                raise ValueError(f"cannot store the empty array {name!r} in {path}")
+            nb = name.encode()
+            f.write(struct.pack("<I", len(nb)) + nb
+                    + struct.pack(f"<{2 + a.ndim}I", _CODES[a.dtype], a.ndim, *a.shape))
+            f.write(a.tobytes())
 
 
 def load_arrays(path, kinds):

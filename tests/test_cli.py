@@ -1,3 +1,7 @@
+import dataclasses
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -64,11 +68,38 @@ def test_sample_writes_the_videos_generate_demonstrations_samples(tmp_path):
               "--T", "2", "--out", str(tmp_path / "videos")])
     labeler = idm.ActionDecoder(np.random.default_rng(1), d=16, frame_blocks=1, temporal_blocks=1)
     demos = pipeline.generate_demonstrations("door-open", 3, storage.load_model(ckpt)[0], labeler,
-                                             diffusion.build_schedule(2, "cosine"), seed=5)
+                                             diffusion.build_schedule(2, "cosine"), seed=5,
+                                             classifier=pipeline.VariantClassifier(np.random.default_rng(2), d=8))
     written = sorted((tmp_path / "videos").iterdir())
     assert [p.name for p in written] == [f"door-open_{m:03d}.bin" for m in range(3)]
     for path, demo in zip(written, demos):
         assert np.array_equal(storage.load_arrays(path, "video")[0]["frames"], demo.video)
+
+
+def test_train_idm_and_idm_study(tmp_path, monkeypatch):
+    """Both commands run end to end; every IDM they train takes one step at a tiny width."""
+    train_idm = idm.train_idm
+    monkeypatch.setattr(idm, "train_idm", lambda packed, config: train_idm(
+        packed, dataclasses.replace(config, steps=1, batch=1, d=8)))
+    episodes, ckpt, study = tmp_path / "episodes", tmp_path / "idm.ckpt", tmp_path / "study.csv"
+    cli.main(["collect", "--task", "reach", "--episodes", "1", "--out", str(episodes)])
+    cli.main(["train-idm", "--fold", "1", "--data", str(episodes), "--out", str(ckpt)])
+    cli.main(["idm-study", "--families", "1", "--traj", "1", "--out", str(study)])
+    model, meta = storage.load_model(ckpt)
+    assert meta["kind"] == "idm" and model.d == 8
+    lines = study.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "families,traj_per_task,few_shot_acc,zero_shot_acc"
+    assert len(lines) == 2 and lines[1].startswith("1,1,")
+
+
+@pytest.mark.parametrize("content", [None, b"\xff{", b"[]", b'{"reports": [{"fold": 1}]}'],
+                         ids=["missing", "undecodable", "not-an-object", "bad-record"])
+def test_report_names_an_unreadable_report(tmp_path, content):
+    path = tmp_path / "report.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(SystemExit, match=f"cannot read crossval report {re.escape(str(path))}: "):
+        cli.main(["report", "--in", str(tmp_path)])
 
 
 @pytest.mark.parametrize("line,message", [
@@ -92,6 +123,12 @@ def test_crossval_config_errors_name_the_key(tmp_path, monkeypatch, line, messag
     with pytest.raises(SystemExit) as exc:
         cli.main(["crossval", "--config", str(cfg), "--out", str(tmp_path / "run")])
     assert message in str(exc.value)
+
+
+def test_readme_lists_every_config_key():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("The crossval config file", 1)[1].split("\n\n", 1)[0]
+    assert [k for k in pipeline.CrossvalConfig.__dataclass_fields__ if f"`{k}`" not in listed] == []
 
 
 @pytest.mark.parametrize("value,expect", [("1", True), ("Yes", True), ("false", False), ("no", False)])

@@ -307,6 +307,15 @@ def test_failed_save_keeps_the_old_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["ep.episode"]
 
 
+def test_failed_text_save_keeps_the_old_file(tmp_path):
+    path = tmp_path / "rates.csv"
+    storage.save_text(path, "fold,arm\n")
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate has no UTF-8 encoding
+        storage.save_text(path, "fold,\ud800\n")
+    assert path.read_text(encoding="utf-8") == "fold,arm\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rates.csv"]
+
+
 def test_discretize_endpoints():
     assert data.discretize(np.array([-1.0, -1.0, -1.0])).tolist() == [0, 0, 0]
     assert data.discretize(np.array([1.0, 1.0, 1.0])).tolist() == [255, 255, 255]

@@ -8,6 +8,8 @@ one numpy build (recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64).
 import hashlib
 import importlib.util
 import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -157,9 +159,11 @@ def test_tape_keeps_no_tensor(build):
             assert not any(isinstance(v, nn.Tensor) for v in items), fn.__qualname__
 
 
+_TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+
+
 def _perfbench_tracer():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -176,3 +180,24 @@ def test_benchmark_tracer_reads_the_tape(monkeypatch):
     assert tracer.stats["nn.conv2d.bwd.6x6x2-4s2"].calls == 1
     assert tracer.counts["nn.tape_ops"] > 0
     assert conv.w.grad is not None
+
+
+@pytest.mark.parametrize("install", ["Tracer().install", "install_counters"])
+def test_benchmark_tracer_installs_on_the_package(install):
+    """perfbench's tracer wraps the package's entry points by name, on the modules its worker passes.
+
+    A renamed entry point fails the install. It runs in a child process, so
+    the wrappers never reach this one.
+    """
+    script = f"""
+import importlib, importlib.util
+spec = importlib.util.spec_from_file_location("perfbench_tracer", {_TRACER!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+names = ("env", "data", "prompts", "diffusion", "inverse_dynamics", "policies", "pipeline", "nn", "storage")
+tracing.{install}({{name: importlib.import_module("minimanip." + name) for name in names}})
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nn.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
