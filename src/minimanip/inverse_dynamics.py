@@ -234,9 +234,7 @@ def generalization_study(family_counts, traj_counts, seed=0):
     evaluation uses 4 held-out episodes per training variant; zero-shot
     uses 4 per variant of the untrained fold, across all families.
     """
-    from . import env
     split = data.fold_split(1)
-    families = [env.get_task(t).family for t in split.few_shot]
     rows = []
     for fc in family_counts:
         if fc > len(split.few_shot):

@@ -127,6 +127,51 @@ def test_causal_attention_masks_future():
     assert not np.allclose(y1[0, -1], y2[0, -1])
 
 
+def _qkv(rng, n, t, d, dtype):
+    return [rng.normal(size=(n, t, d)).astype(dtype) for _ in range(3)]
+
+
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
+def test_attention_grad(which, causal):
+    rng = np.random.default_rng(11)
+    qkv = [nn.Tensor(a) for a in _qkv(rng, 2, 4, 3, np.float64)]
+
+    def loss(x):
+        args = qkv[:which] + [x] + qkv[which + 1:]
+        return nn.mse(nn.attention(*args, causal), 0.1)
+
+    _gradcheck_input(loss, rng.normal(size=(2, 4, 3)))
+
+
+def _composed_attention(q, k, v, causal):
+    """The matmul / softmax / matmul composition nn.attention replaces."""
+    t = q.shape[-2]
+    scores = nn.mul(nn.matmul(q, nn.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[-1]))
+    if causal:
+        scores = scores + nn.Tensor(np.triu(np.full((t, t), -1e9, dtype=q.dtype), k=1))
+    return nn.matmul(nn.softmax(scores, axis=-1), v)
+
+
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("t", [36, 256])
+def test_attention_matches_composition_bit_for_bit(t, causal):
+    """Over several chunks and a ragged last one, outputs and all three grads are equal."""
+    rows = max(1, nn._ATTENTION_CHUNK_BYTES // (t * t * 4))
+    n = 2 * rows + rows // 2 + 1
+    rng = np.random.default_rng(12)
+    arrays = _qkv(rng, n, t, 5, np.float32)
+    g = rng.normal(size=(n, t, 5)).astype(np.float32)
+    results = []
+    for op in (_composed_attention, nn.attention):
+        qkv = [nn.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        y = op(*qkv, causal)
+        y.backward(g)
+        results.append([y.data] + [x.grad for x in qkv])
+    for ref, got in zip(*results):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 def test_cross_entropy_uniform_logits():
     logits = nn.Tensor(np.zeros((10, 256)))
     targets = np.arange(10) % 256

@@ -159,6 +159,23 @@ def test_tape_keeps_no_tensor(build):
             assert not any(isinstance(v, nn.Tensor) for v in items), fn.__qualname__
 
 
+def test_attention_tape_keeps_no_score_tensor():
+    """Each attention closure holds q, k and v, all (N, T, D), and no (N, T, T) scores.
+
+    The spatial level attends over T = 256 tokens of D = 4 channels, where a
+    score array could not pass for q, k or v.
+    """
+    _, loss = dvg_loss(np.random.default_rng(3))
+    held = [[c.cell_contents for c in fn.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+            for fn in tape_closures(loss) if fn.__qualname__.startswith("attention.")]
+    assert len(held) == 4  # three temporal levels and one spatial
+    for arrays in held:
+        assert len(arrays) == 3
+        n, t, d = arrays[0].shape
+        assert all(a.shape == (n, t, d) for a in arrays)
+    assert (256, 4) in [arrays[0].shape[1:] for arrays in held]
+
+
 _TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
 
