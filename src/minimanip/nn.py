@@ -4,16 +4,21 @@ The tape is kept apart from the data. A Tensor holds its array and, if it
 needs a grad, a Node; the Node holds the backward closure, the parents'
 Nodes and the grad. Each closure captures only what its backward reads:
 arrays, shapes and parent Nodes, never a Tensor. add, reshape, transpose,
-concat, take, sum_, upsample2x and gather_last keep no activation, and mul,
-matmul and the convolutions keep an operand only for the grad that reads
-it. So an activation that no backward reads is freed as soon as the
-forward pass drops it. attention keeps q, k and v, never its (N, T, T)
-scores: it runs over chunks of the leading axis, and its backward
-recomputes each chunk's probabilities. backward() walks the Nodes in
-reverse topological order. Inference runs inside ``with no_grad():``,
-where ops record no tape. Convolutions are a sum of kh*kw shifted GEMMs,
-and the backward pass re-reads the padded input instead of retaining the
-shifted copies. Everything is deterministic given a seeded numpy Generator.
+concat, take, sum_ and gather_last keep no activation, and mul, matmul and
+the convolutions keep an operand only for the grad that reads it. So an
+activation that no backward reads is freed as soon as the forward pass
+drops it. attention keeps q, k and v, never its (N, T, T) scores: it runs
+over chunks of the leading axis, and its backward recomputes each chunk's
+probabilities. backward() walks the Nodes in reverse topological order.
+Inference runs inside ``with no_grad():``, where ops record no tape.
+Convolutions are a sum of kh*kw shifted GEMMs. The forward runs over
+cache-sized blocks of whole images, padding each block into one reused
+buffer, and with one input channel a tap is a plain product, not a K=1
+GEMM. The backward pass re-reads the padded input instead of retaining the
+shifted copies. UpBlock projects before it upsamples (conv1x1_upsample2x),
+so its GEMM runs on a quarter of the rows and the tape keeps only the
+low-resolution input. Everything is deterministic given a seeded numpy
+Generator.
 """
 from __future__ import annotations
 
@@ -542,11 +547,24 @@ def conv1x1(x, w, b):
     return _make(y, (x, w, b), bwd)
 
 
+# Bytes of one block of images in conv2d's forward: its shifted copy of the
+# input and two O-wide results. A block that stays in cache across
+# the kh*kw taps is what makes blocking pay. On the denoiser's shapes at 72
+# frames and the IDM stem at 160, 256 KiB to 1 MiB timed within noise of
+# each other and 2 MiB was slower (twice as long at 32x32x24); 512 KiB is
+# the middle (2-core Xeon, one BLAS thread).
+_CONV_BLOCK_BYTES = 2 ** 19
+
+
 def conv2d(x, w, b, stride=1, pad=1):
     """x (N,H,W,C), w (kh,kw,C,O), b (O,) -> (N,Ho,Wo,O).
 
     Computed as a sum of kh*kw shifted GEMMs rather than im2col: traffic stays
-    proportional to the tensor size instead of kh*kw times it.
+    proportional to the tensor size instead of kh*kw times it. The forward
+    runs over blocks of whole images sized to _CONV_BLOCK_BYTES, each padded
+    into one reused buffer, so a block's taps all run in cache. With one
+    input channel a tap is a plain product, rounded once as a K=1 GEMM
+    would round it. The output has the bits of the unblocked loop.
     """
     kh, kw, c, o = w.shape
     if kh == 1 and kw == 1 and stride == 1:
@@ -554,25 +572,45 @@ def conv2d(x, w, b, stride=1, pad=1):
     inputs, nx, nw, nb = (x, w, b), x._node, w._node, b._node
     x, w = x.data, w.data
     n, h, wd, _ = x.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wd + 2 * pad - kw) // stride + 1
     rows = n * ho * wo
     out_dtype = np.result_type(x.dtype, w.dtype)  # promotes like matmul
-    y = np.empty((rows, o), dtype=out_dtype)
-    scratch = np.empty((rows, c), dtype=x.dtype)
-    tmp = np.empty((rows, o), dtype=out_dtype)
-    first = True
-    for i in range(kh):
-        for j in range(kw):
-            np.copyto(scratch.reshape(n, ho, wo, c),
-                      xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride, :])
-            np.matmul(scratch, w[i, j], out=y if first else tmp)
-            if not first:
-                y += tmp
-            first = False
-    y += b.data
-    y = y.reshape(n, ho, wo, o)
+    block = max(1, _CONV_BLOCK_BYTES // (ho * wo * (c + 2 * o) * out_dtype.itemsize))
+    m = min(block, n)
+    y = np.empty((n, ho, wo, o), dtype=out_dtype)
+    xp = np.zeros((m, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype)  # the border stays zero
+    scratch = np.empty((m * ho * wo, c), dtype=x.dtype)
+    # With one input channel the taps are products summed in (O, rows)
+    # buffers, so each pass is O long loops rather than rows loops of length
+    # O, and the sum is transposed into y.
+    acc = np.empty((o, m * ho * wo), dtype=out_dtype) if c == 1 else None
+    tmp = np.empty((o, m * ho * wo) if c == 1 else (m * ho * wo, o), dtype=out_dtype)
+    # A GEMM adds its products to +0, so it never yields -0, but a product
+    # can; a bias that is never -0 turns every zero of the sum into +0 again.
+    bias = b.data + 0
+    for lo in range(0, n, block):
+        k = min(block, n - lo)
+        r = k * ho * wo
+        xb, sb = xp[:k], scratch[:r]
+        yb = y[lo:lo + k].reshape(r, o)
+        ab, tb = (acc[:, :r], tmp[:, :r]) if c == 1 else (yb, tmp[:r])
+        xb[:, pad:pad + h, pad:pad + wd] = x[lo:lo + k]
+        first = True
+        for i in range(kh):
+            for j in range(kw):
+                np.copyto(sb.reshape(k, ho, wo, c),
+                          xb[:, i:i + stride * ho:stride, j:j + stride * wo:stride, :])
+                if c == 1:
+                    np.multiply(w[i, j].T, sb.T, out=ab if first else tb)
+                else:
+                    np.matmul(sb, w[i, j], out=ab if first else tb)
+                if not first:
+                    ab += tb
+                first = False
+        if c == 1:
+            yb[...] = ab.T
+        yb += bias
     # the input is read back for the weight grad, the weights for the input grad
     x, w = _saved(x, nw is not None), _saved(w, nx is not None)
 
@@ -601,19 +639,41 @@ def conv2d(x, w, b, stride=1, pad=1):
     return _make(y, inputs, bwd)
 
 
-def upsample2x(x):
-    """Nearest-neighbor 2x upsample of (N,H,W,C)."""
-    n, h, w, c = x.shape
-    y = np.empty((n, h, 2, w, 2, c), dtype=x.dtype)
-    y[...] = x.data[:, :, None, :, None, :]
-    y = y.reshape(n, 2 * h, 2 * w, c)
-    nx = x._node
+def _upsample2x(a):
+    """Nearest-neighbor 2x upsample of an (N,H,W,C) array."""
+    n, h, w, c = a.shape
+    y = np.empty((n, h, 2, w, 2, c), dtype=a.dtype)
+    y[...] = a[:, :, None, :, None, :]
+    return y.reshape(n, 2 * h, 2 * w, c)
+
+
+def conv1x1_upsample2x(x, w, b):
+    """Pointwise conv, then nearest 2x upsample: conv1x1(upsample2x(x)) at a quarter of the GEMM.
+
+    Each output row is the GEMM row the upsampled input would give, so the
+    result has the same bits. The tape keeps the low-resolution input; the
+    weight grad upsamples it again and runs the same GEMM as on the
+    upsampled input, and the input grad sums g @ wᵀ over each 2x2 block.
+    """
+    c, o = w.shape[2], w.shape[3]
+    wmat = w.data.reshape(c, o)
+    y = x.data.reshape(-1, c) @ wmat + b.data
+    y = _upsample2x(y.reshape(x.shape[:3] + (o,)))
+    nx, nw, nb = x._node, w._node, b._node
+    xd, wmat = _saved(x.data, nw is not None), _saved(wmat, nx is not None)
 
     def bwd(g):
-        n2, h2, w2, c2 = g.shape
-        nx.accumulate(g.reshape(n2, h2 // 2, 2, w2 // 2, 2, c2).sum(axis=(2, 4)))
+        n, h2, w2, _ = g.shape
+        gmat = g.reshape(-1, o)
+        if nw is not None:
+            nw.accumulate((_upsample2x(xd).reshape(-1, c).T @ gmat).reshape(1, 1, c, o))
+        if nb is not None:
+            nb.accumulate(gmat.sum(axis=0))
+        if nx is not None:
+            gx = (gmat @ wmat.T).reshape(n, h2 // 2, 2, w2 // 2, 2, c)
+            nx.accumulate(gx.sum(axis=(2, 4)))
 
-    return _make(y, (x,), bwd)
+    return _make(y, (x, w, b), bwd)
 
 
 # -- parameters / modules ------------------------------------------------
@@ -693,13 +753,13 @@ class Conv2d(Module):
 
 
 class UpBlock(Module):
-    """Nearest 2x upsample followed by a pointwise channel map."""
+    """Nearest 2x upsample and a pointwise channel map, computed as map then upsample."""
 
     def __init__(self, c_in, c_out, rng):
         self.proj = Conv2d(c_in, c_out, rng, k=1)
 
     def __call__(self, x):
-        return self.proj(upsample2x(x))
+        return conv1x1_upsample2x(x, self.proj.w, self.proj.b)
 
 
 class LayerNorm(Module):
@@ -723,10 +783,10 @@ class SelfAttention(Module):
         self.causal = causal
 
     def __call__(self, x):
-        q = matmul(x, self.wq)
-        k = matmul(x, self.wk)
-        v = matmul(x, self.wv)
-        return matmul(attention(q, k, v, self.causal), self.wo)
+        # q, k and v are passed straight in, so under no_grad they are freed
+        # before the output projection runs
+        return matmul(attention(matmul(x, self.wq), matmul(x, self.wk), matmul(x, self.wv),
+                                self.causal), self.wo)
 
 
 class TransformerBlock(Module):

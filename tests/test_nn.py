@@ -97,16 +97,97 @@ def test_conv2d_weight_grad():
     assert rel < 1e-6
 
 
+def _unblocked_conv2d(x, w, b, stride, pad):
+    """conv2d's forward before it ran in blocks: one padded copy, nine full-size shifted GEMMs."""
+    kh, kw, c, o = w.shape
+    n, h, wd, _ = x.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wd + 2 * pad - kw) // stride + 1
+    rows = n * ho * wo
+    y = np.empty((rows, o), dtype=x.dtype)
+    scratch = np.empty((rows, c), dtype=x.dtype)
+    tmp = np.empty((rows, o), dtype=x.dtype)
+    first = True
+    for i in range(kh):
+        for j in range(kw):
+            np.copyto(scratch.reshape(n, ho, wo, c),
+                      xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride, :])
+            np.matmul(scratch, w[i, j], out=y if first else tmp)
+            if not first:
+                y += tmp
+            first = False
+    y += b
+    return y.reshape(n, ho, wo, o)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("c", [1, 3, 12])
+def test_blocked_conv2d_matches_unblocked_bit_for_bit(c, stride):
+    """Over several blocks of images and a ragged last one, every output bit is equal.
+
+    Most inputs are exact zeros, as in pose videos; one output channel has
+    only negative weights and a -0 bias, so a product path that left a -0
+    where the GEMM gives +0 would show.
+    """
+    hw, o = 12, 5
+    ho = (hw - 1) // stride + 1
+    block = nn._CONV_BLOCK_BYTES // (ho * ho * (c + 2 * o) * 4)
+    n = 2 * block + block // 2 + 1
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(n, hw, hw, c)).astype(np.float32)
+    x[rng.uniform(size=x.shape) < 0.8] = 0.0
+    w = (0.4 * rng.normal(size=(3, 3, c, o))).astype(np.float32)
+    w[..., 0] = -np.abs(w[..., 0])
+    b = np.array([-0.0, 0.0, 0.5, -1.5, 0.25], dtype=np.float32)
+    got = nn.conv2d(nn.Tensor(x), nn.Tensor(w), nn.Tensor(b), stride=stride).data
+    ref = _unblocked_conv2d(x, w, b, stride, 1)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_conv1x1_upsample2x_matches_upsampled_conv1x1_bit_for_bit():
+    """The output and the grads of x, w and b equal those of conv1x1 on an np.repeat-upsampled x."""
+    rng = np.random.default_rng(15)
+    x0 = rng.normal(size=(4, 16, 16, 12)).astype(np.float32)
+    w0 = (0.3 * rng.normal(size=(1, 1, 12, 6))).astype(np.float32)
+    b0 = rng.normal(size=6).astype(np.float32)
+    g = rng.normal(size=(4, 32, 32, 6)).astype(np.float32)
+    results = []
+    for fused in (False, True):
+        w, b = nn.Param(w0.copy()), nn.Param(b0.copy())
+        if fused:
+            x = nn.Tensor(x0.copy(), requires_grad=True)
+            y = nn.conv1x1_upsample2x(x, w, b)
+        else:
+            x = nn.Tensor(np.repeat(np.repeat(x0, 2, axis=1), 2, axis=2), requires_grad=True)
+            y = nn.conv1x1(x, w, b)
+        y.backward(g)
+        gx = x.grad if fused else x.grad.reshape(4, 16, 2, 16, 2, 12).sum(axis=(2, 4))
+        results.append([y.data, gx, w.grad, b.grad])
+    for ref, got in zip(*results):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("index", [0, -1, slice(1, 3)])
 def test_take_grad(index):
     rng = np.random.default_rng(10)
     _gradcheck_input(lambda x: nn.mse(nn.take(x, index), 0.3), rng.normal(size=(2, 4, 3)))
 
 
-def test_upsample_and_silu_grad():
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["x", "w", "b"])
+def test_conv1x1_upsample2x_and_silu_grad(which):
     rng = np.random.default_rng(6)
-    _gradcheck_input(lambda x: nn.mse(nn.upsample2x(nn.silu(x)), 0.2),
-                     rng.normal(size=(2, 3, 3, 2)))
+    args = [rng.normal(size=(2, 3, 3, 2)), rng.normal(size=(1, 1, 2, 3)), rng.normal(size=3)]
+    x0 = args[which]
+    args = [nn.Tensor(a) for a in args]
+
+    def loss(t):
+        x, w, b = args[:which] + [t] + args[which + 1:]
+        return nn.mse(nn.conv1x1_upsample2x(nn.silu(x), w, b), 0.2)
+
+    _gradcheck_input(loss, x0)
 
 
 def test_attention_block_grad():

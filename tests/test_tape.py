@@ -176,6 +176,15 @@ def test_attention_tape_keeps_no_score_tensor():
     assert (256, 4) in [arrays[0].shape[1:] for arrays in held]
 
 
+def test_upblock_tape_keeps_the_low_resolution_input():
+    """Each UpBlock closure holds its 16x16 or 32x32 input, no array at the upsampled resolution."""
+    _, loss = dvg_loss(np.random.default_rng(3))
+    held = [[c.cell_contents.shape for c in fn.__closure__
+             if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.ndim > 2]
+            for fn in tape_closures(loss) if fn.__qualname__.startswith("conv1x1_upsample2x.")]
+    assert sorted(held) == [[(4, 16, 16, 4)], [(4, 32, 32, 3)]]
+
+
 _TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
 
