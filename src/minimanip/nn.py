@@ -17,13 +17,25 @@ buffer, and with one input channel a tap is a plain product, not a K=1
 GEMM. The backward pass re-reads the padded input instead of retaining the
 shifted copies. UpBlock projects before it upsamples (conv1x1_upsample2x),
 so its GEMM runs on a quarter of the rows and the tape keeps only the
-low-resolution input. Everything is deterministic given a seeded numpy
-Generator.
+low-resolution input.
+
+The kernels of conv2d, attention, layernorm and the flat GEMMs (matmul with
+a 2-D right operand, conv1x1) split their independent rows (images,
+attention chunks, normalized rows, GEMM rows) over a pool of threads. When
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is "1", the pool has
+one worker per core the process may run on; otherwise BLAS threads by itself
+and the pool has one worker, the calling thread. Ops under _SPLIT_MIN_SIZE
+elements stay serial. A split never reorders the arithmetic of a row, so
+outputs and grads have the same bits for any worker count. Reductions over
+rows (weight, bias, gamma and beta grads) are never split by rows.
+Everything is deterministic given a seeded numpy Generator.
 """
 from __future__ import annotations
 
 import contextlib
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -204,6 +216,108 @@ def _saved(a, needed):
     return a if needed else np.broadcast_to(np.zeros((), a.dtype), a.shape)
 
 
+# -- the worker pool -----------------------------------------------------
+#
+# The op kernels split independent rows (images, attention chunks, layernorm
+# rows, GEMM rows) over a pool of threads; numpy and BLAS release the GIL
+# while they work. Each row keeps its order of operations, so the result has
+# the same bits for any worker count. A worker runs numpy only: it never
+# calls an op, the tape or the pool, and it writes into arrays that the
+# calling thread allocated.
+
+# The variables through which a BLAS library is told its thread count.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _worker_count(environ, cpus):
+    """Workers for the op kernels: one per allowed core if BLAS is pinned to one thread, else 1.
+
+    A BLAS that threads already uses the cores, and ops split on top of it
+    ran slower than serial ones.
+    """
+    pinned = any(environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
+    return max(1, len(cpus)) if pinned else 1
+
+
+def _allowed_cpus():
+    try:
+        return os.sched_getaffinity(0)
+    except AttributeError:  # no affinity mask on this platform
+        return range(os.cpu_count() or 1)
+
+
+_WORKERS = _worker_count(os.environ, _allowed_cpus())
+
+# Ops that touch fewer elements than this stay in the calling thread: a
+# split costs tens of microseconds. That keeps the miniature test models and
+# the rt1 decode serial.
+_SPLIT_MIN_SIZE = 2 ** 16
+
+_pool = []  # worker threads, made on the first split: importing starts none
+if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
+    os.register_at_fork(after_in_child=_pool.clear)
+
+
+class _Worker:
+    """One pool thread. It runs each job handed to it, then drops the job, so
+    that every array the job referenced is freed by the calling thread."""
+
+    def __init__(self):
+        self.job, self.error = None, None
+        self.start, self.done = threading.Semaphore(0), threading.Semaphore(0)
+        threading.Thread(target=self._loop, name="minimanip-nn", daemon=True).start()
+
+    def _loop(self):
+        while True:
+            self.start.acquire()
+            fn, args = self.job
+            self.job = None
+            try:
+                fn(*args)
+            except BaseException as exc:  # raised again in the calling thread
+                self.error = exc
+            del fn, args
+            self.done.release()
+
+
+def _split(n, size, grain=1):
+    """Bounds of the contiguous ranges over which an op of `size` elements splits n rows.
+
+    One range per worker, each at least `grain` rows long, or just (0, n)
+    when the op is small or there is one worker.
+    """
+    parts = max(1, min(n // grain, _WORKERS)) if size >= _SPLIT_MIN_SIZE else 1
+    return [(n * s // parts, n * (s + 1) // parts) for s in range(parts)]
+
+
+def _parallel(ranges, fn):
+    """Run fn(lo, hi, slot) for each (lo, hi) in ranges; slot is its index.
+
+    The calling thread runs slot 0 and the pool the others. Returns when all
+    are done; the first exception, in slot order, is raised here. Ops call it
+    from one thread at a time, as they use the tape.
+    """
+    if len(ranges) == 1:
+        fn(*ranges[0], 0)
+        return
+    while len(_pool) < len(ranges) - 1:
+        _pool.append(_Worker())
+    workers = _pool[:len(ranges) - 1]
+    for slot, (worker, (lo, hi)) in enumerate(zip(workers, ranges[1:]), 1):
+        worker.job = fn, (lo, hi, slot)
+        worker.start.release()
+    try:
+        fn(*ranges[0], 0)
+    finally:
+        for worker in workers:  # none may still be writing when this returns or raises
+            worker.done.acquire()
+        errors = [worker.error for worker in workers if worker.error is not None]
+        for worker in workers:
+            worker.error = None
+    if errors:
+        raise errors[0]
+
+
 # -- elementwise --------------------------------------------------------
 
 def add(a, b):
@@ -335,6 +449,21 @@ def mean(x, axis=None, keepdims=False):
 
 # -- matmul -------------------------------------------------------------
 
+def _gemm(a, b):
+    """a @ b for 2-D a and b, with the rows of a split over the pool.
+
+    Each part keeps at least two rows: numpy runs a one-row product as a
+    GEMV, which may round differently.
+    """
+    y = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+
+    def rows(lo, hi, _):
+        np.matmul(a[lo:hi], b, out=y[lo:hi])
+
+    _parallel(_split(len(a), y.size, 2), rows)
+    return y
+
+
 def matmul(a, b):
     """a @ b. Supports (..., m, k) @ (k, n) and same-leading-batch (..., m, k) @ (..., k, n).
 
@@ -344,7 +473,7 @@ def matmul(a, b):
     flat_rhs = b.ndim == 2 and a.ndim > 2
     if flat_rhs:
         k = a.shape[-1]
-        y = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (b.shape[-1],))
+        y = _gemm(a.data.reshape(-1, k), b.data).reshape(a.shape[:-1] + (b.shape[-1],))
     else:
         y = np.matmul(a.data, b.data)
     na, nb = a._node, b._node
@@ -353,7 +482,7 @@ def matmul(a, b):
     def bwd(g):
         if na is not None:
             if flat_rhs:
-                ga = (g.reshape(-1, g.shape[-1]) @ bd.T).reshape(ad.shape)
+                ga = _gemm(g.reshape(-1, g.shape[-1]), bd.T).reshape(ad.shape)
             else:
                 ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
             na.accumulate(ga)
@@ -377,19 +506,14 @@ def _softmax_inplace(y, axis=-1):
     return y
 
 
-def _softmax_grad(g, y, axis=-1):
-    """Grad of the softmax input, given y = softmax and g the grad of y."""
-    gy = g * y
-    gy -= y * gy.sum(axis=axis, keepdims=True)
-    return gy
-
-
 def softmax(x, axis=-1):
     y = _softmax_inplace(x.data.copy(), axis)
     nx = x._node
 
     def bwd(g):
-        nx.accumulate(_softmax_grad(g, y, axis))
+        gy = g * y
+        gy -= y * gy.sum(axis=axis, keepdims=True)
+        nx.accumulate(gy)
 
     return _make(y, (x,), bwd)
 
@@ -404,50 +528,79 @@ _ATTENTION_CHUNK_BYTES = 2 ** 20
 def attention(q, k, v, causal=False):
     """softmax(q kᵀ / sqrt(D) + mask) v over (N, T, D) q, k, v; the mask hides the future if causal.
 
-    Runs over chunks of the leading axis, so only one chunk's (rows, T, T)
-    scores exist at a time. The tape keeps q, k and v, and backward
-    recomputes each chunk's probabilities from them.
+    Splits the leading axis over the pool, and each worker runs over chunks
+    of its rows, so only one chunk's (rows, T, T) scores per worker exist at
+    a time. The tape keeps q, k and v, and backward recomputes each chunk's
+    probabilities from them.
     """
     qd, kd, vd = q.data, k.data, v.data
     n, t, d = qd.shape
     dtype = np.result_type(qd, kd)
     scale = dtype.type(1.0 / math.sqrt(d))
-    rows = max(1, _ATTENTION_CHUNK_BYTES // (t * t * dtype.itemsize))
+    ranges = _split(n, n * t * t)
+    rows = max(1, _ATTENTION_CHUNK_BYTES // (len(ranges) * t * t * dtype.itemsize))
 
-    def probs():
-        """Each chunk's bounds, probabilities and kᵀ; the probabilities reuse one buffer."""
+    def scratch(gdt=None):
+        """Each worker's buffers: scores and kᵀ of one chunk, and in backward their grads.
+
+        Each kind is one array, cut into the workers' shares, so the
+        allocations are those of the serial loop.
+        """
+        shapes = ((t, t), (d, t)) if gdt is None else ((t, t), (d, t), (t, t), (d, t))
+        dtypes = (dtype, kd.dtype, gdt, gdt)
+        ends = np.cumsum([0] + [min(rows, hi - lo) for lo, hi in ranges])
+        kinds = [np.empty((ends[-1],) + shape, dtype=dt) for shape, dt in zip(shapes, dtypes)]
+        return [[a[lo:hi] for a in kinds] for lo, hi in zip(ends[:-1], ends[1:])]
+
+    def probs(lo, hi, scores, keys):
+        """Each chunk of rows lo..hi-1: its bounds, probabilities and kᵀ, in one worker's buffers."""
         mask = np.triu(np.full((t, t), -1e9, dtype=dtype), k=1) if causal else None
-        buf = np.empty((min(rows, n), t, t), dtype=dtype)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            kt = np.ascontiguousarray(np.swapaxes(kd[lo:hi], -1, -2))
-            p = np.matmul(qd[lo:hi], kt, out=buf[:hi - lo])
+        for c_lo in range(lo, hi, rows):
+            c_hi = min(c_lo + rows, hi)
+            kt = keys[:c_hi - c_lo]
+            np.copyto(kt, np.swapaxes(kd[c_lo:c_hi], -1, -2))
+            p = np.matmul(qd[c_lo:c_hi], kt, out=scores[:c_hi - c_lo])
             p *= scale
             if mask is not None:
                 p += mask
-            yield lo, hi, _softmax_inplace(p), kt
+            yield c_lo, c_hi, _softmax_inplace(p), kt
 
     y = np.empty((n, t, vd.shape[-1]), dtype=np.result_type(dtype, vd))
-    for lo, hi, p, _ in probs():
-        np.matmul(p, vd[lo:hi], out=y[lo:hi])
+    buffers = scratch()
+
+    def forward(lo, hi, slot):
+        for c_lo, c_hi, p, _ in probs(lo, hi, *buffers[slot]):
+            np.matmul(p, vd[c_lo:c_hi], out=y[c_lo:c_hi])
+
+    _parallel(ranges, forward)
     nq, nk, nv = q._node, k._node, v._node
 
     def bwd(g):
         gdt = np.result_type(g, dtype, vd)
         gq, gk, gv = (np.empty(a.shape, dtype=gdt) if node is not None else None
                       for a, node in ((qd, nq), (kd, nk), (vd, nv)))
-        for lo, hi, p, kt in probs():
-            gc = g[lo:hi]
-            if gv is not None:
-                np.matmul(np.swapaxes(p, -1, -2), gc, out=gv[lo:hi])
-            if gq is None and gk is None:
-                continue
-            gs = _softmax_grad(np.matmul(gc, np.swapaxes(vd[lo:hi], -1, -2)), p)
-            gs *= scale
-            if gq is not None:
-                np.matmul(gs, np.swapaxes(kt, -1, -2), out=gq[lo:hi])
-            if gk is not None:
-                gk[lo:hi] = np.swapaxes(np.matmul(np.swapaxes(qd[lo:hi], -1, -2), gs), -1, -2)
+        buffers = scratch(gdt)
+
+        def backward(lo, hi, slot):
+            scores, keys, score_grads, key_grads = buffers[slot]
+            for c_lo, c_hi, p, kt in probs(lo, hi, scores, keys):
+                gc = g[c_lo:c_hi]
+                if gv is not None:
+                    np.matmul(np.swapaxes(p, -1, -2), gc, out=gv[c_lo:c_hi])
+                if gq is None and gk is None:
+                    continue
+                # the softmax grad, p·(gp - Σ p·gp), in place of gp and then p
+                gs = np.matmul(gc, np.swapaxes(vd[c_lo:c_hi], -1, -2), out=score_grads[:c_hi - c_lo])
+                gs *= p
+                gs -= np.multiply(p, gs.sum(axis=-1, keepdims=True), out=p if p.dtype == gdt else None)
+                gs *= scale
+                if gq is not None:
+                    np.matmul(gs, np.swapaxes(kt, -1, -2), out=gq[c_lo:c_hi])
+                if gk is not None:
+                    kg = np.matmul(np.swapaxes(qd[c_lo:c_hi], -1, -2), gs, out=key_grads[:c_hi - c_lo])
+                    gk[c_lo:c_hi] = np.swapaxes(kg, -1, -2)
+
+        _parallel(ranges, backward)
         for node, grad in ((nq, gq), (nk, gk), (nv, gv)):
             if node is not None:
                 node.accumulate(grad)
@@ -502,26 +655,61 @@ def mse(a, b):
 # -- normalization ------------------------------------------------------
 
 def layernorm(x, gamma, beta):
-    """Normalize over the last axis, then scale/shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xn = x.data - mu
-    var = np.mean(np.square(xn), axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xn *= inv
-    n, gd = x.shape[-1], gamma.data
-    nx, ngamma, nbeta = x._node, gamma._node, beta._node
+    """Normalize over the last axis, then scale/shift.
+
+    The forward allocates the normalized input and the output, squaring into
+    the output before it holds γ·xn + β; rows are split over the pool.
+    """
+    xd, gd, bd = x.data, gamma.data, beta.data
+    n = xd.shape[-1]
+    x2 = xd.reshape(-1, n)
+    xn = np.empty(x2.shape, dtype=xd.dtype)
+    inv = np.empty((len(x2), 1), dtype=xd.dtype)
+    y = np.empty(x2.shape, dtype=np.result_type(xn, gd, bd))
+
+    def rows(lo, hi, _):
+        xs, ns, ys, iv = x2[lo:hi], xn[lo:hi], y[lo:hi], inv[lo:hi]
+        np.subtract(xs, xs.mean(axis=-1, keepdims=True, out=iv), out=ns)  # iv holds the mean
+        sq = np.square(ns, out=ys) if ys.dtype == ns.dtype else np.square(ns)
+        sq.mean(axis=-1, keepdims=True, out=iv)  # then the variance, then 1/sqrt(var + eps)
+        iv += 1e-5
+        np.sqrt(iv, out=iv)
+        np.divide(1.0, iv, out=iv)
+        ns *= iv
+        np.multiply(ns, gd, out=ys)
+        ys += bd
+
+    _parallel(_split(len(x2), x2.size), rows)
+    nx, ngamma, nbeta, shape = x._node, gamma._node, beta._node, xd.shape
 
     def bwd(g):
+        g2 = g.reshape(-1, n)
         if ngamma is not None:
-            ngamma.accumulate((g * xn).reshape(-1, n).sum(axis=0))
+            ngamma.accumulate((g2 * xn).sum(axis=0))
         if nbeta is not None:
-            nbeta.accumulate(g.reshape(-1, n).sum(axis=0))
-        if nx is not None:
-            gx = g * gd
+            nbeta.accumulate(g2.sum(axis=0))
+        if nx is None:
+            return
+        if np.result_type(g2, gd) != xn.dtype:  # g·γ is wider than x: promote as numpy does
+            gx = g2 * gd
             term = gx - gx.mean(axis=-1, keepdims=True) - xn * (gx * xn).mean(axis=-1, keepdims=True)
-            nx.accumulate(term * inv)
+            nx.accumulate((term * inv).reshape(shape))
+            return
+        gx, tmp, means = np.empty_like(xn), np.empty_like(xn), np.empty_like(inv)
 
-    return _make(xn * gd + beta.data, (x, gamma, beta), bwd)
+        def grad_rows(lo, hi, _):  # gx - mean(gx) - xn·mean(gx·xn), times inv, for gx = g·γ
+            gs, ns, ts, m = gx[lo:hi], xn[lo:hi], tmp[lo:hi], means[lo:hi]
+            np.multiply(g2[lo:hi], gd, out=gs)
+            np.multiply(gs, ns, out=ts).mean(axis=-1, keepdims=True, out=m)
+            np.multiply(ns, m, out=ts)
+            gs -= gs.mean(axis=-1, keepdims=True, out=m)
+            gs -= ts
+            gs *= inv[lo:hi]
+
+        _parallel(_split(len(gx), gx.size), grad_rows)
+        nx.accumulate(gx.reshape(shape))
+
+    return _make(y.reshape(shape), (x, gamma, beta), bwd)
 
 
 # -- conv / resize ------------------------------------------------------
@@ -530,7 +718,8 @@ def conv1x1(x, w, b):
     """Pointwise conv on (N,H,W,C): a single flat GEMM, no data movement."""
     c, o = w.shape[2], w.shape[3]
     wmat = w.data.reshape(c, o)
-    y = x.data.reshape(-1, c) @ wmat + b.data
+    y = _gemm(x.data.reshape(-1, c), wmat)
+    y += b.data
     y = y.reshape(x.shape[:3] + (o,))
     nx, nw, nb = x._node, w._node, b._node
     xd, wmat = _saved(x.data, nw is not None), _saved(wmat, nx is not None)
@@ -542,7 +731,7 @@ def conv1x1(x, w, b):
         if nb is not None:
             nb.accumulate(gmat.sum(axis=0))
         if nx is not None:
-            nx.accumulate((gmat @ wmat.T).reshape(xd.shape))
+            nx.accumulate(_gemm(gmat, wmat.T).reshape(xd.shape))
 
     return _make(y, (x, w, b), bwd)
 
@@ -552,7 +741,9 @@ def conv1x1(x, w, b):
 # the kh*kw taps is what makes blocking pay. On the denoiser's shapes at 72
 # frames and the IDM stem at 160, 256 KiB to 1 MiB timed within noise of
 # each other and 2 MiB was slower (twice as long at 32x32x24); 512 KiB is
-# the middle (2-core Xeon, one BLAS thread).
+# the middle (2-core Xeon, one BLAS thread). Each worker of the pool gets a
+# whole block: at two workers, 256 KiB blocks ran 4 of the 7 denoiser shapes
+# slower than 512 KiB ones, two of them slower than one worker did.
 _CONV_BLOCK_BYTES = 2 ** 19
 
 
@@ -561,10 +752,13 @@ def conv2d(x, w, b, stride=1, pad=1):
 
     Computed as a sum of kh*kw shifted GEMMs rather than im2col: traffic stays
     proportional to the tensor size instead of kh*kw times it. The forward
-    runs over blocks of whole images sized to _CONV_BLOCK_BYTES, each padded
-    into one reused buffer, so a block's taps all run in cache. With one
-    input channel a tap is a plain product, rounded once as a K=1 GEMM
-    would round it. The output has the bits of the unblocked loop.
+    splits the images over the pool; each worker runs over blocks of whole
+    images within _CONV_BLOCK_BYTES, each padded into one reused buffer, so
+    a block's taps all run in its core's cache. With one input channel a tap
+    is a plain product, rounded once as a K=1 GEMM would round it. The
+    backward splits the input grad by images and the weight grad by input
+    channels. The output and grads have the bits of the unblocked serial
+    loop.
     """
     kh, kw, c, o = w.shape
     if kh == 1 and kw == 1 and stride == 1:
@@ -574,67 +768,92 @@ def conv2d(x, w, b, stride=1, pad=1):
     n, h, wd, _ = x.shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wd + 2 * pad - kw) // stride + 1
-    rows = n * ho * wo
+    rows, hw = n * ho * wo, ho * wo
+    grain = 2 if hw == 1 else 1  # a GEMM of one row would run as a GEMV, rounding differently
     out_dtype = np.result_type(x.dtype, w.dtype)  # promotes like matmul
-    block = max(1, _CONV_BLOCK_BYTES // (ho * wo * (c + 2 * o) * out_dtype.itemsize))
-    m = min(block, n)
     y = np.empty((n, ho, wo, o), dtype=out_dtype)
-    xp = np.zeros((m, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype)  # the border stays zero
-    scratch = np.empty((m * ho * wo, c), dtype=x.dtype)
-    # With one input channel the taps are products summed in (O, rows)
-    # buffers, so each pass is O long loops rather than rows loops of length
-    # O, and the sum is transposed into y.
-    acc = np.empty((o, m * ho * wo), dtype=out_dtype) if c == 1 else None
-    tmp = np.empty((o, m * ho * wo) if c == 1 else (m * ho * wo, o), dtype=out_dtype)
+    ranges = _split(n, y.size, grain)
+    block = max(1, _CONV_BLOCK_BYTES // (hw * (c + 2 * o) * out_dtype.itemsize))
+
+    def scratch(m):
+        """One worker's buffers for blocks of up to m images."""
+        xp = np.zeros((m, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype)  # the border stays zero
+        # With one input channel the taps are products summed in (O, rows)
+        # buffers, so each pass is O long loops rather than rows loops of
+        # length O, and the sum is transposed into y.
+        acc = np.empty((o, m * hw), dtype=out_dtype) if c == 1 else None
+        tmp = np.empty((o, m * hw) if c == 1 else (m * hw, o), dtype=out_dtype)
+        return xp, np.empty((m * hw, c), dtype=x.dtype), acc, tmp
+
+    buffers = [scratch(min(block, hi - lo)) for lo, hi in ranges]
     # A GEMM adds its products to +0, so it never yields -0, but a product
     # can; a bias that is never -0 turns every zero of the sum into +0 again.
     bias = b.data + 0
-    for lo in range(0, n, block):
-        k = min(block, n - lo)
-        r = k * ho * wo
-        xb, sb = xp[:k], scratch[:r]
-        yb = y[lo:lo + k].reshape(r, o)
-        ab, tb = (acc[:, :r], tmp[:, :r]) if c == 1 else (yb, tmp[:r])
-        xb[:, pad:pad + h, pad:pad + wd] = x[lo:lo + k]
-        first = True
-        for i in range(kh):
-            for j in range(kw):
-                np.copyto(sb.reshape(k, ho, wo, c),
-                          xb[:, i:i + stride * ho:stride, j:j + stride * wo:stride, :])
-                if c == 1:
-                    np.multiply(w[i, j].T, sb.T, out=ab if first else tb)
-                else:
-                    np.matmul(sb, w[i, j], out=ab if first else tb)
-                if not first:
-                    ab += tb
-                first = False
-        if c == 1:
-            yb[...] = ab.T
-        yb += bias
+
+    def images(lo, hi, slot):
+        xp, shifted, acc, tmp = buffers[slot]
+        for first_image in range(lo, hi, block):
+            k = min(block, hi - first_image)
+            r = k * hw
+            xb, sb = xp[:k], shifted[:r]
+            yb = y[first_image:first_image + k].reshape(r, o)
+            ab, tb = (acc[:, :r], tmp[:, :r]) if c == 1 else (yb, tmp[:r])
+            xb[:, pad:pad + h, pad:pad + wd] = x[first_image:first_image + k]
+            first = True
+            for i in range(kh):
+                for j in range(kw):
+                    np.copyto(sb.reshape(k, ho, wo, c),
+                              xb[:, i:i + stride * ho:stride, j:j + stride * wo:stride, :])
+                    if c == 1:
+                        np.multiply(w[i, j].T, sb.T, out=ab if first else tb)
+                    else:
+                        np.matmul(sb, w[i, j], out=ab if first else tb)
+                    if not first:
+                        ab += tb
+                    first = False
+            if c == 1:
+                yb[...] = ab.T
+            yb += bias
+
+    _parallel(ranges, images)
     # the input is read back for the weight grad, the weights for the input grad
     x, w = _saved(x, nw is not None), _saved(w, nx is not None)
 
     def bwd(g):
         gmat = g.reshape(rows, o)
+        taps = [(i, j, (slice(None), slice(i, i + stride * ho, stride),
+                        slice(j, j + stride * wo, stride), slice(None)))
+                for i in range(kh) for j in range(kw)]
         if nb is not None:
             nb.accumulate(gmat.sum(axis=0))
+        flat = np.empty(rows * c, dtype=x.dtype)  # the serial loop's (rows, c) buffer, shared out
         if nw is not None:
             xp2 = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
             if nw.grad is None:
                 nw.grad = np.zeros(w.shape, dtype=w.dtype)
-        gx = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype) if nx is not None else None
-        buf = np.empty((rows, c), dtype=x.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                sl = (slice(None), slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride), slice(None))
-                if nw is not None:
-                    np.copyto(buf.reshape(n, ho, wo, c), xp2[sl])
-                    nw.grad[i, j] += buf.T @ gmat
-                if gx is not None:
-                    np.matmul(gmat, w[i, j].T, out=buf)
-                    gx[sl] += buf.reshape(n, ho, wo, c)
-        if gx is not None:
-            nx.accumulate(gx[:, pad:gx.shape[1] - pad, pad:gx.shape[2] - pad, :] if pad else gx)
+            gw = nw.grad
+
+            def weight_grad(lo, hi, _):  # input channels lo..hi-1 of every tap
+                buf = flat[rows * lo:rows * hi].reshape(rows, hi - lo)
+                for i, j, sl in taps:
+                    np.copyto(buf.reshape(n, ho, wo, hi - lo), xp2[sl][..., lo:hi])
+                    gw[i, j, lo:hi] += buf.T @ gmat
+
+            # at least two channels a part: a GEMM of one row would run as a GEMV
+            _parallel(_split(c, g.size, 2), weight_grad)
+        if nx is None:
+            return
+        gx = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype)
+
+        def input_grad(lo, hi, _):
+            buf = flat[lo * hw * c:hi * hw * c].reshape((hi - lo) * hw, c)
+            gs, gxs = gmat[lo * hw:hi * hw], gx[lo:hi]
+            for i, j, sl in taps:
+                np.matmul(gs, w[i, j].T, out=buf)
+                gxs[sl] += buf.reshape(hi - lo, ho, wo, c)
+
+        _parallel(_split(n, g.size, grain), input_grad)
+        nx.accumulate(gx[:, pad:gx.shape[1] - pad, pad:gx.shape[2] - pad, :] if pad else gx)
 
     return _make(y, inputs, bwd)
 
@@ -657,7 +876,8 @@ def conv1x1_upsample2x(x, w, b):
     """
     c, o = w.shape[2], w.shape[3]
     wmat = w.data.reshape(c, o)
-    y = x.data.reshape(-1, c) @ wmat + b.data
+    y = _gemm(x.data.reshape(-1, c), wmat)
+    y += b.data
     y = _upsample2x(y.reshape(x.shape[:3] + (o,)))
     nx, nw, nb = x._node, w._node, b._node
     xd, wmat = _saved(x.data, nw is not None), _saved(wmat, nx is not None)
@@ -670,7 +890,7 @@ def conv1x1_upsample2x(x, w, b):
         if nb is not None:
             nb.accumulate(gmat.sum(axis=0))
         if nx is not None:
-            gx = (gmat @ wmat.T).reshape(n, h2 // 2, 2, w2 // 2, 2, c)
+            gx = _gemm(gmat, wmat.T).reshape(n, h2 // 2, 2, w2 // 2, 2, c)
             nx.accumulate(gx.sum(axis=(2, 4)))
 
     return _make(y, (x, w, b), bwd)

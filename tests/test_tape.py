@@ -92,6 +92,18 @@ def test_model_grads_are_pinned(name):
     assert grad_digest(model.params()) == digest
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("name", sorted(MODEL_LOSSES))
+def test_model_grads_are_pinned_when_every_op_splits(name, workers, monkeypatch):
+    """The same grad bits when every op splits its rows over the worker pool."""
+    monkeypatch.setattr(nn, "_WORKERS", workers)
+    monkeypatch.setattr(nn, "_SPLIT_MIN_SIZE", 0)
+    build, digest = MODEL_LOSSES[name]
+    model, loss = build(np.random.default_rng(3))
+    loss.backward()
+    assert grad_digest(model.params()) == digest
+
+
 def op_graph():
     """A loss over broadcasting add/mul, a reused tensor, transpose, concat/take and a stride-2 conv.
 
