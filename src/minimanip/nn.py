@@ -21,13 +21,14 @@ low-resolution input.
 
 The kernels of conv2d, attention, layernorm and the flat GEMMs (matmul with
 a 2-D right operand, conv1x1) split their independent rows (images,
-attention chunks, normalized rows, GEMM rows) over a pool of threads. When
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is "1", the pool has
-one worker per core the process may run on; otherwise BLAS threads by itself
-and the pool has one worker, the calling thread. Ops under _SPLIT_MIN_SIZE
-elements stay serial. A split never reorders the arithmetic of a row, so
-outputs and grads have the same bits for any worker count. Reductions over
-rows (weight, bias, gamma and beta grads) are never split by rows.
+attention chunks, normalized rows, GEMM rows) over a thread pool. When the
+first of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS that is
+set is "1", the pool has one worker per core the process may run on;
+otherwise BLAS threads by itself and the pool has one worker, the calling
+thread. Ops under _SPLIT_MIN_SIZE elements stay serial. A split never
+reorders the arithmetic of a row, so outputs and grads have the same bits
+for any worker count. Reductions over rows (weight, bias, gamma and beta
+grads) are never split by rows.
 Everything is deterministic given a seeded numpy Generator.
 """
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import threading
 
 import numpy as np
 
@@ -225,7 +225,8 @@ def _saved(a, needed):
 # calls an op, the tape or the pool, and it writes into arrays that the
 # calling thread allocated.
 
-# The variables through which a BLAS library is told its thread count.
+# The variables through which a BLAS library is told its thread count, in the
+# order OpenBLAS reads them: the first one set wins.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -235,8 +236,8 @@ def _worker_count(environ, cpus):
     A BLAS that threads already uses the cores, and ops split on top of it
     ran slower than serial ones.
     """
-    pinned = any(environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
-    return max(1, len(cpus)) if pinned else 1
+    threads = next((environ[var] for var in _BLAS_THREAD_VARS if var in environ), None)
+    return max(1, len(cpus)) if threads == "1" else 1
 
 
 def _allowed_cpus():
@@ -253,31 +254,16 @@ _WORKERS = _worker_count(os.environ, _allowed_cpus())
 # the rt1 decode serial.
 _SPLIT_MIN_SIZE = 2 ** 16
 
-_pool = []  # worker threads, made on the first split: importing starts none
+_pool = None  # a ThreadPoolExecutor, made on the first split: importing starts no thread
+
+
+def _forget_pool():
+    global _pool
+    _pool = None
+
+
 if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
-    os.register_at_fork(after_in_child=_pool.clear)
-
-
-class _Worker:
-    """One pool thread. It runs each job handed to it, then drops the job, so
-    that every array the job referenced is freed by the calling thread."""
-
-    def __init__(self):
-        self.job, self.error = None, None
-        self.start, self.done = threading.Semaphore(0), threading.Semaphore(0)
-        threading.Thread(target=self._loop, name="minimanip-nn", daemon=True).start()
-
-    def _loop(self):
-        while True:
-            self.start.acquire()
-            fn, args = self.job
-            self.job = None
-            try:
-                fn(*args)
-            except BaseException as exc:  # raised again in the calling thread
-                self.error = exc
-            del fn, args
-            self.done.release()
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _split(n, size, grain=1):
@@ -290,32 +276,45 @@ def _split(n, size, grain=1):
     return [(n * s // parts, n * (s + 1) // parts) for s in range(parts)]
 
 
+def _run_part(job):
+    # Empty the job before running it, so that the pool thread holds no
+    # reference to fn once the part is done: every array is freed by the caller.
+    fn, lo, hi, slot = job
+    job.clear()
+    fn(lo, hi, slot)
+
+
 def _parallel(ranges, fn):
     """Run fn(lo, hi, slot) for each (lo, hi) in ranges; slot is its index.
 
     The calling thread runs slot 0 and the pool the others. Returns when all
-    are done; the first exception, in slot order, is raised here. Ops call it
-    from one thread at a time, as they use the tape.
+    are done, even if interrupted; the first exception, in slot order, is
+    raised here. Ops call it from one thread at a time, as they use the tape.
     """
+    global _pool
     if len(ranges) == 1:
         fn(*ranges[0], 0)
         return
-    while len(_pool) < len(ranges) - 1:
-        _pool.append(_Worker())
-    workers = _pool[:len(ranges) - 1]
-    for slot, (worker, (lo, hi)) in enumerate(zip(workers, ranges[1:]), 1):
-        worker.job = fn, (lo, hi, slot)
-        worker.start.release()
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(max(_WORKERS, len(ranges)) - 1, thread_name_prefix="minimanip-nn")
+    futures = [_pool.submit(_run_part, [fn, lo, hi, slot])
+               for slot, (lo, hi) in enumerate(ranges[1:], 1)]
     try:
         fn(*ranges[0], 0)
-    finally:
-        for worker in workers:  # none may still be writing when this returns or raises
-            worker.done.acquire()
-        errors = [worker.error for worker in workers if worker.error is not None]
-        for worker in workers:
-            worker.error = None
-    if errors:
-        raise errors[0]
+    finally:  # no part may still be writing when this returns or raises
+        interrupt = None
+        for future in futures:
+            while True:
+                try:
+                    future.exception()
+                    break
+                except KeyboardInterrupt as exc:
+                    interrupt = exc
+        if interrupt is not None:
+            raise interrupt
+    for future in futures:
+        future.result()
 
 
 # -- elementwise --------------------------------------------------------
@@ -690,12 +689,8 @@ def layernorm(x, gamma, beta):
             nbeta.accumulate(g2.sum(axis=0))
         if nx is None:
             return
-        if np.result_type(g2, gd) != xn.dtype:  # g·γ is wider than x: promote as numpy does
-            gx = g2 * gd
-            term = gx - gx.mean(axis=-1, keepdims=True) - xn * (gx * xn).mean(axis=-1, keepdims=True)
-            nx.accumulate((term * inv).reshape(shape))
-            return
-        gx, tmp, means = np.empty_like(xn), np.empty_like(xn), np.empty_like(inv)
+        dt = np.result_type(g2, gd, xn)  # as numpy promotes the plain expression
+        gx, tmp, means = np.empty(xn.shape, dt), np.empty(xn.shape, dt), np.empty(inv.shape, dt)
 
         def grad_rows(lo, hi, _):  # gx - mean(gx) - xn·mean(gx·xn), times inv, for gx = g·γ
             gs, ns, ts, m = gx[lo:hi], xn[lo:hi], tmp[lo:hi], means[lo:hi]

@@ -5,8 +5,11 @@ so that each op splits; its output and every grad must match the serial
 run bit for bit.
 """
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ def split_counts(monkeypatch):
 def _run(op, arrays, workers, monkeypatch):
     """op's output and the grad of each input, at the given worker count."""
     monkeypatch.setattr(nn, "_WORKERS", workers)
+    monkeypatch.setattr(nn, "_pool", None)  # a pool of this many threads
     inputs = [nn.Tensor(a.copy(), requires_grad=True) for a in arrays]
     y = op(*inputs)
     y.backward(np.random.default_rng(9).normal(size=y.shape).astype(y.dtype))
@@ -151,7 +155,9 @@ def test_splits_keep_every_bit_under_frequent_thread_switches(monkeypatch, split
 @pytest.mark.parametrize("environ, cpus, workers", [
     ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 2),
     ({"OMP_NUM_THREADS": "1"}, {0, 1, 2}, 3),
-    ({"MKL_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "4"}, {0, 1}, 2),
+    ({"MKL_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "4"}, {0, 1}, 1),  # OpenBLAS reads its own first
+    ({"OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}, {0, 1}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, {0, 1}, 2),
     ({"OPENBLAS_NUM_THREADS": "1"}, {3}, 1),    # an affinity mask of one core
     ({"OPENBLAS_NUM_THREADS": "2"}, {0, 1}, 1),
     ({}, {0, 1}, 1),                            # BLAS picks its own thread count
@@ -163,10 +169,10 @@ def test_worker_count_rule(environ, cpus, workers):
 
 def test_import_starts_no_thread():
     """With BLAS pinned, so that the pool is on, importing every module starts no thread."""
-    script = ("import threading\n"
+    script = ("import sys, threading\n"
               "import minimanip.cli, minimanip.pipeline\n"
               "from minimanip import nn\n"
-              "assert not nn._pool\n"
+              "assert nn._pool is None and 'concurrent.futures' not in sys.modules\n"
               "assert threading.active_count() == 1, threading.enumerate()\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(nn.__file__)))
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
@@ -211,3 +217,27 @@ def test_an_exception_in_any_part_reaches_the_caller(failing):
     finished.clear()
     nn._parallel([(0, 1), (1, 2), (2, 3)], lambda lo, hi, slot: finished.append(slot))
     assert sorted(finished) == [0, 1, 2]  # the pool still works, and no stale exception is raised
+
+
+def test_an_interrupt_while_waiting_returns_after_every_part():
+    """A KeyboardInterrupt in the calling thread is raised only once no part is still writing."""
+    assert threading.current_thread() is threading.main_thread()
+    finished = []
+
+    def fn(lo, hi, slot):
+        if slot == 1:
+            time.sleep(0.05)  # the calling thread is waiting by now
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.2)
+            finished.append(slot)
+
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            nn._parallel([(0, 1), (1, 2)], fn)
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert finished == [1]
+    finished.clear()
+    nn._parallel([(0, 1), (1, 2)], lambda lo, hi, slot: finished.append(slot))
+    assert sorted(finished) == [0, 1]

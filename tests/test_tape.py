@@ -97,6 +97,7 @@ def test_model_grads_are_pinned(name):
 def test_model_grads_are_pinned_when_every_op_splits(name, workers, monkeypatch):
     """The same grad bits when every op splits its rows over the worker pool."""
     monkeypatch.setattr(nn, "_WORKERS", workers)
+    monkeypatch.setattr(nn, "_pool", None)
     monkeypatch.setattr(nn, "_SPLIT_MIN_SIZE", 0)
     build, digest = MODEL_LOSSES[name]
     model, loss = build(np.random.default_rng(3))
