@@ -6,21 +6,14 @@ full pipeline uses the same code with more steps (see 05_crossval.py).
 """
 import numpy as np
 
-from minimanip import data, diffusion, prompts
+from minimanip import data, diffusion, pipeline, prompts
 
 
 def main():
     trajs = data.collect("drawer-open", n_episodes=4, epsilon=0.0, seed=0)
-    items = []
-    for traj in trajs:
-        video = data.subsample_frames(traj)
-        pos, clo = data.subsampled_pose_track(traj)
-        pose_video = prompts.render_pose_video(prompts.PoseSequence(pos, clo))
-        items.append((video, traj.task_id, pose_video))
-
-    cfg = diffusion.DvgConfig(steps=300, batch=2, T=100, seed=0)
-    print(f"training the denoiser for {cfg.steps} steps ...")
-    model, log = diffusion.train_dvg(items, cfg)
+    cfg = pipeline.CrossvalConfig(dvg_steps=300, dvg_T=100)
+    print(f"training the denoiser for {cfg.dvg_steps} steps ...")
+    model, log = pipeline.train_dvg_for_fold(trajs, cfg)
     print(f"loss {log[0]:.3f} -> {np.mean(log[-20:]):.3f}")
 
     sched = diffusion.build_schedule(40, "cosine")

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn, prompts
-from .data import to_unit, from_unit
-
-FRAMES = 36
+from .data import VIDEO_FRAMES, to_unit, from_unit
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +128,7 @@ class PoseAdapter(nn.Module):
 class VideoDenoiser(nn.Module):
     """Epsilon-prediction U-Net over (B, F, 3, 64, 64) videos in [-1, 1]."""
 
-    def __init__(self, rng, channels=(12, 24, 48), cond_dim=64, frames=FRAMES):
+    def __init__(self, rng, channels=(12, 24, 48), cond_dim=64, frames=VIDEO_FRAMES):
         c1, c2, c3 = channels
         self.channels = tuple(channels)
         self.frames = frames

@@ -193,9 +193,7 @@ def label_video(model, video):
         raise ValueError("video too short")
     n = len(frames)
     logits = _window_logits(model, data.edge_extract_video(frames)[None])[0]
-    z = logits - logits.max(axis=-1, keepdims=True)
-    probs = np.exp(z)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs = nn.softmax(nn.Tensor(logits)).data
     acc = np.zeros((n - 1, 3, 256))
     count = np.zeros(n - 1)
     for k in range(n - w + 1):

@@ -4,12 +4,13 @@ The tape is kept apart from the data. A Tensor holds its array and, if it
 needs a grad, a Node; the Node holds the backward closure, the parents'
 Nodes and the grad. Each closure captures only what its backward reads:
 arrays, shapes and parent Nodes, never a Tensor. add, reshape, transpose,
-concat, take, sum_ and gather_last keep no activation, and mul, matmul and
-the convolutions keep an operand only for the grad that reads it. So an
-activation that no backward reads is freed as soon as the forward pass
-drops it. attention keeps q, k and v, never its (N, T, T) scores: it runs
-over chunks of the leading axis, and its backward recomputes each chunk's
-probabilities. backward() walks the Nodes in reverse topological order.
+concat, take and sum_ keep no activation, cross_entropy is one op that keeps
+its log-probabilities, and mul, matmul and the convolutions keep an operand
+only for the grad that reads it. So an activation that no backward reads is
+freed as soon as the forward pass drops it. attention keeps q, k and v,
+never its (N, T, T) scores: it runs over chunks of the leading axis, and its
+backward recomputes each chunk's probabilities. backward() walks the Nodes
+in reverse topological order.
 Inference runs inside ``with no_grad():``, where ops record no tape.
 Convolutions are a sum of kh*kw shifted GEMMs. The forward runs over
 cache-sized blocks of whole images, padding each block into one reused
@@ -102,10 +103,6 @@ class Tensor:
     @_backward.setter
     def _backward(self, fn):
         self._node.backward = fn
-
-    @property
-    def _parents(self):
-        return () if self._node is None else self._node.parents
 
     def backward(self, grad=None):
         if self._node is None:
@@ -607,42 +604,29 @@ def attention(q, k, v, causal=False):
     return _make(y, (q, k, v), bwd)
 
 
-def log_softmax(x, axis=-1):
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    y = z - lse
-    nx = x._node
-
-    def bwd(g):
-        sm = np.exp(y)
-        nx.accumulate(g - sm * g.sum(axis=axis, keepdims=True))
-
-    return _make(y, (x,), bwd)
-
-
-def gather_last(x, idx):
-    """Pick x[i, idx[i]] from a 2-D tensor."""
-    rows = np.arange(x.shape[0])
-    idx = np.asarray(idx).reshape(-1)
-    nx, shape, dtype = x._node, x.shape, x.dtype
-
-    def bwd(g):
-        gx = np.zeros(shape, dtype=dtype)
-        gx[rows, idx] = g
-        nx.accumulate(gx)
-
-    return _make(x.data[rows, idx], (x,), bwd)
-
-
 def cross_entropy(logits, targets):
-    """Mean NLL of integer `targets` (any shape) under logits (*targets.shape, n_classes)."""
+    """Mean NLL of integer `targets` (any shape) under logits (*targets.shape, n_classes).
+
+    One op that keeps only the log-probabilities y. Its backward scatters
+    (g·-1)·(1/n) into the target classes, then passes gy - exp(y)·Σgy on.
+    """
     targets = np.asarray(targets)
     if logits.shape[:-1] != targets.shape:
         raise ValueError(f"logits of shape {logits.shape} do not match targets of shape {targets.shape}")
-    lp = log_softmax(logits, axis=-1)
-    flat = lp.reshape(-1, lp.shape[-1])
-    picked = gather_last(flat, targets.reshape(-1))
-    return mul(mean(picked), -1.0)
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    flat = y.reshape(-1, y.shape[-1])
+    rows, idx = np.arange(len(flat)), targets.reshape(-1)
+    scale, neg = np.asarray(1.0 / len(flat), y.dtype), np.asarray(-1.0, y.dtype)
+    nx = logits._node
+
+    def bwd(g):
+        gy = np.zeros(flat.shape, dtype=y.dtype)
+        gy[rows, idx] = (g * neg) * scale
+        gy = gy.reshape(y.shape)
+        nx.accumulate(gy - np.exp(y) * gy.sum(axis=-1, keepdims=True))
+
+    return _make((flat[rows, idx].sum() * scale) * neg, (logits,), bwd)
 
 
 def mse(a, b):

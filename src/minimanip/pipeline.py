@@ -178,7 +178,6 @@ def demos_to_episodes(demos):
         task_id=d.task_id,
         frames=d.video,
         actions=(np.asarray(d.actions, dtype=np.float32) / data.SKIP),
-        prompt_emb=prompts.task_embedding(d.task_id),
         history_stride=1,  # adjacent video frames are 3 sim steps apart
     ) for d in demos]
 

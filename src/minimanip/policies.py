@@ -7,7 +7,6 @@ subsampled rate of generated demonstrations). Both emit 3 x 256 bin logits.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +100,6 @@ class BCEpisode:
     task_id: str
     frames: np.ndarray          # (T+1, 64, 64, 3) uint8
     actions: np.ndarray         # (T, 3) float32
-    prompt_emb: np.ndarray      # (32,)
     history_stride: int = HISTORY_STRIDE
     skip_mask: np.ndarray = None  # optional per-step exclusions
 
@@ -122,8 +120,7 @@ def _grab_wait_mask(traj):
 
 
 def episodes_from_trajectories(trajs):
-    return [BCEpisode(t.task_id, t.frames, t.actions, prompts.task_embedding(t.task_id),
-                      skip_mask=_grab_wait_mask(t))
+    return [BCEpisode(t.task_id, t.frames, t.actions, skip_mask=_grab_wait_mask(t))
             for t in trajs]
 
 
@@ -154,11 +151,12 @@ def train_policy(arch, episodes, config=None, hook=None):
              if ep.skip_mask is None or not ep.skip_mask[t]]
     pairs = np.asarray(pairs)
     targets_all = [data.discretize(np.clip(ep.actions, -1.0, 1.0)) for ep in episodes]
+    prompts_all = [prompts.task_embedding(ep.task_id) for ep in episodes]
     log = []
     k = HISTORY
     for it in range(cfg.steps):
         pick = pairs[rng.integers(0, len(pairs), size=cfg.batch)]
-        prompt = np.stack([episodes[ei].prompt_emb for ei, _ in pick])
+        prompt = np.stack([prompts_all[ei] for ei, _ in pick])
         tgt = np.stack([targets_all[ei][t] for ei, t in pick])
         if arch == "lcbc":
             obs = np.stack([episodes[ei].frames[t] for ei, t in pick])
@@ -198,9 +196,8 @@ def rollout_many(model, task_seed_pairs, max_steps=env.MAX_STEPS):
         s, f = env.reset(tid, seed)
         states.append(s)
         frames.append(f)
-    rings = {}  # rt1: episode -> embeddings of its recent frames, newest last
     done = np.zeros(n, dtype=bool)
-    for _ in range(max_steps):
+    for step in range(max_steps):
         live = np.flatnonzero(~done)
         if len(live) == 0:
             break
@@ -209,15 +206,13 @@ def rollout_many(model, task_seed_pairs, max_steps=env.MAX_STEPS):
             if model.arch == "lcbc":
                 logits = model(obs, prompt_embs[live]).data
             else:
-                k = model.history
-                span = HISTORY_STRIDE * (k - 1) + 1  # the oldest history frame is ring[-span]
-                for i, e in zip(live, model.encoder(obs).data):
-                    if i in rings:
-                        rings[i].append(e)
-                    else:  # the reset frame pads the history until enough steps exist
-                        rings[i] = deque([e] * span, maxlen=span)
-                hist = np.stack([[rings[i][-1 - HISTORY_STRIDE * j] for j in range(k - 1, -1, -1)]
-                                 for i in live])
+                emb = model.encoder(obs).data
+                if step == 0:  # frame t's embedding stays in slot t % span until frame t + span
+                    span = HISTORY_STRIDE * (model.history - 1) + 1
+                    ring = np.empty((n, span) + emb.shape[1:], dtype=emb.dtype)
+                ring[live, step % span] = emb
+                slots = _history_indices(step, model.history, HISTORY_STRIDE, step + 1) % span
+                hist = ring[live[:, None], slots]
                 logits = model.decode(nn.Tensor(hist), prompt_embs[live]).data
         bins = logits.argmax(axis=-1)
         acts = data.undiscretize(bins)

@@ -178,7 +178,7 @@ def _train_idm_one_step():
 
 def _train_policy_one_step():
     ep = policies.BCEpisode("reach", np.zeros((2, 64, 64, 3), dtype=np.uint8),
-                            np.zeros((1, 3), dtype=np.float32), np.zeros(prompts.EMBED_DIM))
+                            np.zeros((1, 3), dtype=np.float32))
     policies.train_policy("lcbc", [ep], policies.BCConfig(steps=1, batch=1, d=8, blocks=1))
 
 
