@@ -251,7 +251,7 @@ def subsampled_pose_track(traj):
 # ---------------------------------------------------------------------------
 
 def discretize(a):
-    """Per-dimension 256-bin index: floor((x+1)/2 * 256), clamped."""
+    """Per-dimension bin index: floor((x+1)/2 * N_BINS), clamped."""
     a = np.asarray(a, dtype=np.float64)
     if np.any(np.abs(a) > 1.0 + 1e-9):
         raise ValueError("action out of range")
@@ -260,11 +260,16 @@ def discretize(a):
 
 
 def undiscretize(d):
-    """Bin centers: -1 + (bin + 0.5) * 2/256."""
+    """Bin centers: -1 + (bin + 0.5) * 2/N_BINS."""
     d = np.asarray(d, dtype=np.int64)
     if np.any(d < 0) or np.any(d >= N_BINS):
         raise ValueError("bin index out of range")
     return (-1.0 + (d + 0.5) * (2.0 / N_BINS)).astype(np.float32)
+
+
+def decode_actions(scores):
+    """Greedy decode: bin scores (..., 3, N_BINS) -> each top bin's centre (..., 3), ties low."""
+    return undiscretize(scores.argmax(axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -106,9 +106,6 @@ class VideoAttention(nn.Module):
         return x + self.attn(self.ln(x + self.pos))
 
 
-# (temporal token reshuffles live below as Tensor-op helpers)
-
-
 class PoseAdapter(nn.Module):
     """Per-frame conv pyramid over the pose video; one feature map per level."""
 

@@ -3,7 +3,8 @@
 Frames are edge-extracted (plus Gaussian noise at train time), split into
 8x8 patches, encoded per frame by a small attention encoder, then a
 bidirectional temporal encoder over the window produces per-transition
-logits of 3 dimensions x 256 bins.
+logits of 3 dimensions x `data.N_BINS` bins through `ActionHead`, the one
+action-bin head (policies use it too); `data.decode_actions` decodes them.
 """
 from __future__ import annotations
 
@@ -26,11 +27,14 @@ def _coord_planes():
 _COORDS = _coord_planes()
 
 
-def append_coords(frames):
-    """Tensor (N, 64, 64, C) -> (N, 64, 64, C+2) with coordinate planes."""
-    n = frames.shape[0]
-    coords = nn.Tensor(np.broadcast_to(_COORDS, (n,) + _COORDS.shape).astype(frames.dtype, copy=False))
-    return nn.concat([frames, coords], axis=-1)
+class ActionHead(nn.Linear):
+    """Linear map to action-bin logits: (..., d_in) -> (..., 3, data.N_BINS)."""
+
+    def __init__(self, d_in, rng):
+        super().__init__(d_in, 3 * data.N_BINS, rng)
+
+    def __call__(self, x):
+        return super().__call__(x).reshape(x.shape[:-1] + (3, data.N_BINS))
 
 
 class PatchStem(nn.Module):
@@ -45,8 +49,9 @@ class PatchStem(nn.Module):
 
     def __call__(self, frames):
         """frames (N, 64, 64, 3) ndarray in [-1,1], cast to the parameters' dtype -> tokens (N, 64, d)."""
-        x = append_coords(nn.Tensor(np.asarray(frames, dtype=self.c1.w.dtype)))
-        h = nn.relu(self.c1(x))
+        x = np.asarray(frames, dtype=self.c1.w.dtype)
+        coords = np.broadcast_to(_COORDS, x.shape[:-1] + (2,))
+        h = nn.relu(self.c1(nn.Tensor(np.concatenate([x, coords], axis=-1, dtype=x.dtype))))
         h = nn.relu(self.c2(h))
         h = nn.relu(self.c3(h))
         n = h.shape[0]
@@ -78,22 +83,21 @@ class ActionDecoder(nn.Module):
         self.encoder = FrameEncoder(d, rng, blocks=frame_blocks)
         self.tpos = nn.Param((0.3 * rng.normal(size=(window, d))).astype(np.float32))
         self.temporal = [nn.TransformerBlock(d, rng) for _ in range(temporal_blocks)]
-        self.head = nn.Linear(2 * d, 3 * 256, rng)
+        self.head = ActionHead(2 * d, rng)
 
     def decode(self, emb):
-        """Encoder embeddings (B, w, d) of w consecutive frames -> logits (B, w-1, 3, 256)."""
-        b, w = emb.shape[0], emb.shape[1]
+        """Encoder embeddings (B, w, d) of w consecutive frames -> logits (B, w-1, 3, N_BINS)."""
+        w = emb.shape[1]
         if w != self.window:
             raise ValueError("window size mismatch")
         h = emb + self.tpos
         for blk in self.temporal:
             h = blk(h)
         pair = nn.concat([nn.take(h, slice(0, w - 1)), nn.take(h, slice(1, w))], axis=2)
-        logits = self.head(pair)
-        return logits.reshape(b, w - 1, 3, 256)
+        return self.head(pair)
 
     def __call__(self, frames):
-        """frames (B, w, 64, 64, 3) float in [-1,1] -> logits (B, w-1, 3, 256)."""
+        """frames (B, w, 64, 64, 3) float in [-1,1] -> logits (B, w-1, 3, N_BINS)."""
         b, w = frames.shape[0], frames.shape[1]
         emb = self.encoder(frames.reshape(b * w, 64, 64, 3)).reshape(b, w, self.d)
         return self.decode(emb)
@@ -168,7 +172,7 @@ def _window_logits(model, edge_videos):
     """Logits of every stride-1 window of uint8 edge videos (N, F, 64, 64, 3).
 
     Each frame is encoded once and every window is decoded from the shared
-    embeddings. Returns (N, F-w+1, w-1, 3, 256).
+    embeddings. Returns (N, F-w+1, w-1, 3, N_BINS).
     """
     n, f = edge_videos.shape[:2]
     w = model.window
@@ -178,7 +182,7 @@ def _window_logits(model, edge_videos):
         emb = model.encoder(x).data.reshape(n, f, -1)
         windows = nn.Tensor(emb[:, gather].reshape(-1, w, emb.shape[-1]))
         logits = model.decode(windows).data
-    return logits.reshape(n, f - w + 1, w - 1, 3, 256)
+    return logits.reshape((n, f - w + 1) + logits.shape[1:])
 
 
 def label_video(model, video):
@@ -194,14 +198,13 @@ def label_video(model, video):
     n = len(frames)
     logits = _window_logits(model, data.edge_extract_video(frames)[None])[0]
     probs = nn.softmax(nn.Tensor(logits)).data
-    acc = np.zeros((n - 1, 3, 256))
+    acc = np.zeros((n - 1,) + probs.shape[2:])
     count = np.zeros(n - 1)
     for k in range(n - w + 1):
         acc[k:k + w - 1] += probs[k]
         count[k:k + w - 1] += 1
     acc /= count[:, None, None]
-    bins = acc.argmax(axis=-1)
-    return data.undiscretize(bins)
+    return data.decode_actions(acc)
 
 
 def binwise_accuracy(model, packed):

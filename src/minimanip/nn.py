@@ -425,22 +425,19 @@ def take(x, index):
 
 # -- reductions ---------------------------------------------------------
 
-def sum_(x, axis=None, keepdims=False):
+def sum_(x, axis=None):
     nx, shape, dtype = x._node, x.shape, x.dtype
 
     def bwd(g):
-        if axis is None:
-            nx.accumulate(np.broadcast_to(g, shape).astype(dtype, copy=True))
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            nx.accumulate(np.broadcast_to(ge, shape).astype(dtype, copy=True))
+        ge = g if axis is None else np.expand_dims(g, axis)
+        nx.accumulate(np.broadcast_to(ge, shape).astype(dtype, copy=True))
 
-    return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)
+    return _make(x.data.sum(axis=axis), (x,), bwd)
 
 
-def mean(x, axis=None, keepdims=False):
+def mean(x, axis=None):
     n = x.data.size if axis is None else x.shape[axis]
-    return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(sum_(x, axis=axis), 1.0 / n)
 
 
 # -- matmul -------------------------------------------------------------

@@ -100,6 +100,7 @@ def quality_proxies(demo, classifier):
 
     replay_success: labeled actions solve the demo's own layout.
     plausible: per-step motion within 1.5 * env.STEP and pixels in range.
+      Never False today: labels keep |a| <= 1, uint8 is in range (ROADMAP item 3).
     consistent: the variant classifier recognizes the demo's task.
     """
     if demo.actions is None or len(demo.actions) == 0:

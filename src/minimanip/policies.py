@@ -3,7 +3,8 @@
 Two architectures: a single-frame policy that attends over patch tokens plus
 a prompt token, and a history-conditioned policy that runs a causal decoder
 over per-frame embeddings of the last k frames (stride 3, matching the
-subsampled rate of generated demonstrations). Both emit 3 x 256 bin logits.
+subsampled rate of generated demonstrations). Both emit 3 x `data.N_BINS`
+bin logits through `ActionHead`, and rollouts act on `data.decode_actions`.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data, env, nn, prompts
-from .inverse_dynamics import FrameEncoder, PatchStem
+from .inverse_dynamics import ActionHead, FrameEncoder, PatchStem
 
 HISTORY = 6
 HISTORY_STRIDE = data.SKIP  # one history frame per video frame
@@ -32,10 +33,10 @@ class SingleFramePolicy(nn.Module):
         self.stem = PatchStem(d, rng)
         self.prompt_fc = nn.Linear(prompts.EMBED_DIM, d, rng)
         self.blocks = [nn.TransformerBlock(d, rng) for _ in range(blocks)]
-        self.head = nn.Linear(d, 3 * 256, rng)
+        self.head = ActionHead(d, rng)
 
     def __call__(self, frames, prompt_emb):
-        """frames (B, 64, 64, 3) in [-1,1]; prompt_emb (B, 32) -> (B, 3, 256)."""
+        """frames (B, 64, 64, 3) in [-1,1]; prompt_emb (B, 32) -> (B, 3, N_BINS)."""
         b = frames.shape[0]
         tokens = self.stem(frames)
         ptok = nn.Tensor(np.asarray(prompt_emb, dtype=self.prompt_fc.w.dtype))
@@ -43,7 +44,7 @@ class SingleFramePolicy(nn.Module):
         for blk in self.blocks:
             h = blk(h)
         pooled = nn.take(h, 0)  # the prompt token acts as a task-conditioned query
-        return self.head(pooled).reshape(b, 3, 256)
+        return self.head(pooled)
 
 
 class HistoryPolicy(nn.Module):
@@ -58,10 +59,10 @@ class HistoryPolicy(nn.Module):
         self.prompt_fc = nn.Linear(prompts.EMBED_DIM, d, rng)
         self.tpos = nn.Param((0.3 * rng.normal(size=(history + 1, d))).astype(np.float32))
         self.blocks = [nn.TransformerBlock(d, rng, causal=True) for _ in range(blocks)]
-        self.head = nn.Linear(d, 3 * 256, rng)
+        self.head = ActionHead(d, rng)
 
     def decode(self, emb, prompt_emb):
-        """Encoder embeddings (B, k, d) of the last k frames, oldest first -> (B, 3, 256)."""
+        """Encoder embeddings (B, k, d) of the last k frames, oldest first -> (B, 3, N_BINS)."""
         b, k = emb.shape[0], emb.shape[1]
         if k != self.history:
             raise ValueError("history length mismatch")
@@ -69,10 +70,10 @@ class HistoryPolicy(nn.Module):
         h = nn.concat([self.prompt_fc(ptok).reshape(b, 1, self.d), emb], axis=1) + self.tpos
         for blk in self.blocks:
             h = blk(h)
-        return self.head(nn.take(h, -1)).reshape(b, 3, 256)
+        return self.head(nn.take(h, -1))
 
     def __call__(self, frames, prompt_emb):
-        """frames (B, k, 64, 64, 3) oldest-first in [-1,1] -> (B, 3, 256)."""
+        """frames (B, k, 64, 64, 3) oldest-first in [-1,1] -> (B, 3, N_BINS)."""
         b, k = frames.shape[0], frames.shape[1]
         emb = self.encoder(frames.reshape(b * k, 64, 64, 3)).reshape(b, k, self.d)
         return self.decode(emb, prompt_emb)
@@ -150,7 +151,7 @@ def train_policy(arch, episodes, config=None, hook=None):
     pairs = [(ei, t) for ei, ep in enumerate(episodes) for t in range(len(ep.actions))
              if ep.skip_mask is None or not ep.skip_mask[t]]
     pairs = np.asarray(pairs)
-    targets_all = [data.discretize(np.clip(ep.actions, -1.0, 1.0)) for ep in episodes]
+    targets_all = [data.discretize(ep.actions) for ep in episodes]
     prompts_all = [prompts.task_embedding(ep.task_id) for ep in episodes]
     log = []
     k = HISTORY
@@ -214,8 +215,7 @@ def rollout_many(model, task_seed_pairs, max_steps=env.MAX_STEPS):
                 slots = _history_indices(step, model.history, HISTORY_STRIDE, step + 1) % span
                 hist = ring[live[:, None], slots]
                 logits = model.decode(nn.Tensor(hist), prompt_embs[live]).data
-        bins = logits.argmax(axis=-1)
-        acts = data.undiscretize(bins)
+        acts = data.decode_actions(logits)
         for bi, i in enumerate(live):
             s, f, suc = env.step(states[i], acts[bi])
             states[i], frames[i] = s, f

@@ -207,8 +207,5 @@ def render_pose_video(poses):
     n = len(poses)
     video = np.zeros((n, env.RES, env.RES, 1), dtype=np.uint8)
     for t in range(n):
-        frame = np.zeros((env.RES, env.RES, 3), dtype=np.uint8)
-        val = 255 if poses.closed[t] else 128
-        env._disc(frame, poses.positions[t], 2, (val, val, val))
-        video[t, :, :, 0] = frame[:, :, 0]
+        env._disc(video[t], poses.positions[t], 2, (255 if poses.closed[t] else 128,))
     return video

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from minimanip import data, env, nn, policies, prompts
+from minimanip import inverse_dynamics as idm
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,31 @@ def test_train_rt1_runs(episodes):
     cfg = policies.BCConfig(steps=5, batch=4, seed=0, d=32, blocks=1)
     m, log = policies.train_policy("rt1", episodes, cfg)
     assert len(log) == 5 and np.isfinite(log).all()
+
+
+def test_codec_follows_the_bin_count(episodes, monkeypatch):
+    # an odd bin count: heads, targets, labels and rollouts all follow data.N_BINS
+    monkeypatch.setattr(data, "N_BINS", 9)
+    cfg = policies.BCConfig(steps=1, batch=2, seed=0, d=32, blocks=1)
+    pairs = [("drawer-open", 0), ("reach", 1)]
+    for arch, obs in (("lcbc", np.zeros((1, 64, 64, 3), np.float32)),
+                      ("rt1", np.zeros((1, 6, 64, 64, 3), np.float32))):
+        m, log = policies.train_policy(arch, episodes, cfg)
+        assert np.isfinite(log).all()
+        assert policies.rollout_many(m, pairs, max_steps=2).shape == (2,)
+        assert m(obs, np.zeros((1, 32))).shape == (1, 3, 9)
+    traj = data.run_episode("drawer-open", 0, epsilon=0.1)
+    packed = idm.pack_video_windows([traj])
+    assert packed[1].max() < 9
+    model, log = idm.train_idm(packed, idm.IdmConfig(steps=1, batch=2, d=32))
+    assert np.isfinite(log).all()
+    assert model(np.zeros((1, 12, 64, 64, 3), np.float32)).shape == (1, 11, 3, 9)
+    acts = idm.label_video(model, data.subsample_trajectory(traj).frames)
+    assert acts.shape == (35, 3) and np.isin(acts, data.undiscretize(np.arange(9))).all()
+    assert idm.binwise_accuracy(model, packed).shape == (3,)
+    scores = np.zeros((2, 3, 9), np.float32)
+    scores[..., 4] = 1.0  # the middle of an odd bin count is the centre 0
+    assert np.array_equal(data.decode_actions(scores), np.zeros((2, 3), np.float32))
 
 
 def test_history_indices_padding():

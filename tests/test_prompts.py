@@ -158,6 +158,13 @@ def test_render_pose_video_mapping():
     poses.closed[:] = True
     video2 = prompts.render_pose_video(poses)
     assert video2[0, 32, 32, 0] == 255
+    # a planned track paints each frame exactly as the simulator's disc does
+    push = prompts.plan_pose("push", env.sample_layout("push", 2))
+    for t, frame in enumerate(prompts.render_pose_video(push)):
+        rgb = np.zeros((env.RES, env.RES, 3), dtype=np.uint8)
+        val = 255 if push.closed[t] else 128
+        env._disc(rgb, push.positions[t], 2, (val, val, val))
+        assert frame[:, :, 0].tobytes() == rgb[:, :, 0].tobytes()
 
 
 def test_render_pose_video_background_zero():
