@@ -86,7 +86,7 @@ def _cmd_train_idm(args):
     split = data.fold_split(args.fold)
     trajs = _load_trajs(args.data, task_ids=set(split.few_shot))
     cfg = idm.IdmConfig(seed=args.seed, window=args.window)
-    model, log = idm.train_idm(idm.pack_video_windows(trajs, window=args.window), cfg)
+    model, log = idm.train_idm(idm.pack_video_windows(trajs), cfg)
     storage.save_model(args.out, model, "idm",
                        {"d": model.d, "window": model.window},
                        {"seed": args.seed, "final_loss": log[-1]})

@@ -274,12 +274,7 @@ def sample_layout(task, seed):
 
 def reset(task, seed):
     """Sample a layout from `seed` and return (EnvState, Frame)."""
-    return reset_from_layout(task, sample_layout(task, seed))
-
-
-def reset_from_layout(task, layout):
-    """Start an episode from an exact layout: (EnvState, Frame)."""
-    state = next(replay_states(task, layout, ()))
+    state = next(replay_states(task, sample_layout(task, seed), ()))
     return state, render(state)
 
 

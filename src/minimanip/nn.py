@@ -896,8 +896,6 @@ class Module:
                 for i, item in enumerate(v):
                     if isinstance(item, Module):
                         out.update(item.params(prefix=f"{key}.{i}."))
-                    elif isinstance(item, Param):
-                        out[f"{key}.{i}"] = item
         return out
 
     def zero_grad(self):

@@ -38,7 +38,6 @@ _LEXICON = load_lexicon()
 @dataclass
 class ExpandedPrompt:
     original: str
-    keywords: list          # ordered (kind, token), occurrences preserved
     expanded: str
 
 
@@ -83,16 +82,15 @@ def expand_prompt(text):
     Already-parenthesized tokens are not appended again, which makes
     expansion idempotent.
     """
-    keywords = extract_keywords(text)
     seen, suffix = set(), []
-    for kind, token in keywords:
+    for kind, token in extract_keywords(text):
         if kind == "object" or token in seen:
             continue
         seen.add(token)
         if f"({_cap(token)})" in text:
             continue
         suffix.append(f", ({_cap(token)})")
-    return ExpandedPrompt(original=text, keywords=keywords, expanded=text + "".join(suffix))
+    return ExpandedPrompt(original=text, expanded=text + "".join(suffix))
 
 
 # ---------------------------------------------------------------------------
@@ -104,26 +102,19 @@ def _token_vector(token):
     return rng.normal(0.0, 1.0, size=EMBED_DIM) / np.sqrt(EMBED_DIM)
 
 
-_RESERVED = None
-
-
-def _reserved_vector():
-    global _RESERVED
-    if _RESERVED is None:
-        v = _token_vector("__no_keywords__")
-        _RESERVED = v / np.linalg.norm(v)
-    return _RESERVED
+_RESERVED = _token_vector("__no_keywords__")
+_RESERVED /= np.linalg.norm(_RESERVED)
 
 
 def embed_text(text):
     """Unit-norm mean of hashed token vectors over keyword occurrences."""
     tokens = [tok for _, tok in extract_keywords(text)]
     if not tokens:
-        return _reserved_vector().copy()
+        return _RESERVED.copy()
     v = np.mean([_token_vector(t) for t in tokens], axis=0)
     n = np.linalg.norm(v)
     if n < 1e-12:
-        return _reserved_vector().copy()
+        return _RESERVED.copy()
     return v / n
 
 

@@ -162,27 +162,31 @@ def _toy_traj(n_frames):
 @pytest.mark.parametrize("w,expect", [(12, 25), (36, 1)])
 def test_pack_video_windows_counts(w, expect):
     # videos are padded to 36 frames, so a 13-frame episode has 36-w+1 windows
-    vids, targets, index = idm.pack_video_windows([_toy_traj(13), _toy_traj(40)], window=w)
+    vids, targets = idm.pack_video_windows([_toy_traj(13), _toy_traj(40)])
     assert vids.shape == (2, 36, 64, 64, 3) and targets.shape == (2, 35, 3)
-    assert len(index) == 2 * expect
-    for vi in (0, 1):
-        assert index[index[:, 0] == vi, 1].tolist() == list(range(expect))
+    windows = idm._windows(vids.shape[1], w)
+    assert windows.shape == (expect, w)
+    assert windows.tolist() == [list(range(k, k + w)) for k in range(expect)]
 
 
 def test_pack_video_windows_too_short():
+    packed = idm.pack_video_windows([_toy_traj(13)])
     with pytest.raises(ValueError, match="video too short"):
-        idm.pack_video_windows([_toy_traj(13)], window=37)
+        idm.train_idm(packed, idm.IdmConfig(window=37))
+    model = idm.ActionDecoder(np.random.default_rng(0), d=8, window=37)
+    with pytest.raises(ValueError, match="video too short"):
+        idm.binwise_accuracy(model, packed)
 
 
 def test_window_coverage_reconstruction(short_traj):
     w = 12
-    vids, targets, index = idm.pack_video_windows([short_traj], window=w)
+    vids, targets = idm.pack_video_windows([short_traj])
     sub = data.subsample_trajectory(short_traj)
-    starts = index[:, 1]
-    rebuilt = np.concatenate([targets[0, k:k + w - 1] for k in starts[::w - 1]])
+    windows = idm._windows(vids.shape[1], w)
+    rebuilt = targets[0, windows[::w - 1, :-1]].reshape(-1, 3)
     assert len(rebuilt) == 33
     assert np.array_equal(rebuilt, data.discretize(sub.actions)[:len(rebuilt)])
-    frames = np.concatenate([vids[0, k:k + w] for k in starts[::w]])
+    frames = vids[0, windows[::w]].reshape(-1, 64, 64, 3)
     assert np.array_equal(frames, data.edge_extract_video(sub.frames)[:len(frames)])
 
 

@@ -80,7 +80,7 @@ def test_train_empty():
 def noise_packed(tiny_model):
     """Packed noise videos whose targets make every window's predictions count.
 
-    Returns the packed triple and the reference argmax bins of
+    Returns the packed pair and the reference argmax bins of
     model(every window). Random-init models predict the same bins for every
     window of an expert video, so noise frames keep the windows apart; the
     targets are the reference bins of the windows at starts 0, 11, 22 and
@@ -88,27 +88,47 @@ def noise_packed(tiny_model):
     """
     vids = np.random.default_rng(5).integers(0, 256, size=(3, 36, 64, 64, 3), dtype=np.uint8)
     w = tiny_model.window
-    starts = np.arange(36 - w + 1)
-    x = vids[:, starts[:, None] + np.arange(w)].reshape(-1, w, 64, 64, 3)
+    x = np.stack([vids[:, k:k + w] for k in range(36 - w + 1)], axis=1).reshape(-1, w, 64, 64, 3)
     x = x.astype(np.float32) / 127.5 - 1.0
     pred = np.concatenate([tiny_model(x[lo:lo + 25]).data.argmax(axis=-1)
-                           for lo in range(0, len(x), 25)]).reshape(3, len(starts), w - 1, 3)
+                           for lo in range(0, len(x), 25)]).reshape(3, 36 - w + 1, w - 1, 3)
     targets = np.concatenate([pred[:, 0], pred[:, 11], pred[:, 22], pred[:, 24, 9:]], axis=1)
-    index = np.asarray([(vi, k) for vi in range(3) for k in starts])
-    return (vids, targets, index), pred
+    return (vids, targets), pred
 
 
-@pytest.mark.parametrize("stride", [1, 7])
-def test_binwise_accuracy_matches_windowed_model(tiny_model, noise_packed, stride):
-    # stride 7 keeps a subset of the index, which alone must be scored
-    (vids, targets, index), pred = noise_packed
-    index = index[::stride]
+def test_binwise_accuracy_matches_windowed_model(tiny_model, noise_packed):
+    (vids, targets), pred = noise_packed
     w = tiny_model.window
     hits = np.zeros(3)
-    for vi, k in index:
-        hits += (np.abs(pred[vi, k] - targets[vi, k:k + w - 1]) <= 1).sum(axis=0)
-    want = hits / (len(index) * (w - 1))
-    assert np.array_equal(idm.binwise_accuracy(tiny_model, (vids, targets, index)), want)
+    for vi in range(len(vids)):
+        for k in range(36 - w + 1):
+            hits += (np.abs(pred[vi, k] - targets[vi, k:k + w - 1]) <= 1).sum(axis=0)
+    want = hits / (len(vids) * (36 - w + 1) * (w - 1))
+    assert np.array_equal(idm.binwise_accuracy(tiny_model, (vids, targets)), want)
+
+
+def test_one_pack_serves_every_window_length(monkeypatch):
+    # the pack holds no window: models at windows 3 and 12 train on it and
+    # are scored on all 36 - w + 1 windows of every video
+    vids, targets = packed = idm.pack_video_windows(
+        [data.run_episode("reach", s, epsilon=0.1) for s in range(2)])
+    window_logits, calls = idm._window_logits, []
+
+    def recording(model, edge_videos):
+        calls.append(window_logits(model, edge_videos))
+        return calls[-1]
+
+    monkeypatch.setattr(idm, "_window_logits", recording)
+    for w in (3, 12):
+        calls.clear()
+        model, log = idm.train_idm(packed, idm.IdmConfig(steps=1, batch=2, d=8, window=w))
+        assert model.window == w and np.isfinite(log).all()
+        acc = idm.binwise_accuracy(model, packed)
+        assert len(calls) == 1 and calls[0].shape[:3] == (2, 36 - w + 1, w - 1)
+        pred = calls[0].argmax(axis=-1)
+        hits = [np.abs(pred[vi, k] - targets[vi, k:k + w - 1]) <= 1
+                for vi in range(2) for k in range(36 - w + 1)]
+        assert np.array_equal(acc, np.mean(hits, axis=(0, 1)))
 
 
 def test_binwise_accuracy_encodes_each_frame_once(tiny_model, noise_packed, monkeypatch):
@@ -187,6 +207,8 @@ def test_label_video_matches_windowed_model(tiny_model):
 def test_label_video_too_short(tiny_model):
     with pytest.raises(ValueError, match="video too short"):
         idm.label_video(tiny_model, np.zeros((8, 64, 64, 3), dtype=np.uint8))
+    with pytest.raises(ValueError, match=r"video of shape \(64, 64, 3\) is not"):
+        idm.label_video(tiny_model, np.zeros((64, 64, 3), dtype=np.uint8))
 
 
 def test_gradcheck_miniature_idm():

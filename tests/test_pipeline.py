@@ -171,8 +171,7 @@ def _train_dvg_one_step():
 
 
 def _train_idm_one_step():
-    packed = (np.zeros((1, 36, 64, 64, 3), dtype=np.uint8), np.zeros((1, 35, 3), dtype=np.int64),
-              np.array([[0, 0]]))
+    packed = (np.zeros((1, 36, 64, 64, 3), dtype=np.uint8), np.zeros((1, 35, 3), dtype=np.int64))
     idm.train_idm(packed, idm.IdmConfig(steps=1, batch=1, d=8, window=3))
 
 
