@@ -200,6 +200,7 @@ def _cmd_report(args):
 
 
 def main(argv=None):
+    from . import data
     ap = argparse.ArgumentParser(prog="minimanip", description="Desk-scale skill learning from generated demonstration videos.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -246,7 +247,7 @@ def main(argv=None):
     p = sub.add_parser("train-idm", help="train the action labeler on a fold")
     p.add_argument("--fold", type=int, required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--window", type=int, default=12)
+    p.add_argument("--window", type=int, default=data.WINDOW)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_train_idm)

@@ -5,12 +5,15 @@ needs a grad, a Node; the Node holds the backward closure, the parents'
 Nodes and the grad. Each closure captures only what its backward reads:
 arrays, shapes and parent Nodes, never a Tensor. add, reshape, transpose,
 concat, take and sum_ keep no activation, cross_entropy is one op that keeps
-its log-probabilities, and mul, matmul and the convolutions keep an operand
+its log-probabilities, relu keeps its output (which the conv or matmul that
+reads it keeps too), and mul, matmul and the convolutions keep an operand
 only for the grad that reads it. So an activation that no backward reads is
-freed as soon as the forward pass drops it. attention keeps q, k and v,
-never its (N, T, T) scores: it runs over chunks of the leading axis, and its
-backward recomputes each chunk's probabilities. backward() walks the Nodes
-in reverse topological order.
+freed as soon as the forward pass drops it. attention is one op from its
+input through the q, k, v and output projections, and keeps only the input
+and the four weights: it runs over chunks of the leading axis, each chunk's
+q, k, v and (rows, T, T) scores live in chunk-sized buffers, and its
+backward recomputes them chunk by chunk. backward() walks the Nodes in
+reverse topological order.
 Inference runs inside ``with no_grad():``, where ops record no tape.
 Convolutions are a sum of kh*kw shifted GEMMs. The forward runs over
 cache-sized blocks of whole images, padding each block into one reused
@@ -367,12 +370,12 @@ def silu(x):
 
 
 def relu(x):
-    nx, mask = x._node, x.data > 0
+    nx, y = x._node, x.data * (x.data > 0)
 
     def bwd(g):
-        nx.accumulate(g * mask)
+        nx.accumulate(g * (y > 0))  # the forward's mask: y > 0 exactly where x > 0
 
-    return _make(x.data * mask, (x,), bwd)
+    return _make(y, (x,), bwd)
 
 
 # -- shape --------------------------------------------------------------
@@ -515,90 +518,120 @@ def softmax(x, axis=-1):
 # stays in cache between the score GEMM, the softmax and p @ v is what makes
 # chunking pay. Of 0.5, 1, 2 and 4 MiB, 1 MiB timed fastest at the denoiser's
 # 64x64 temporal level and within 3% elsewhere (2-core Xeon, one BLAS thread).
+# With the projections inside the chunks, 1 MiB still timed fastest of 0.25,
+# 0.5, 1 and 2 MiB at that level (forward 20 against 22-27 ms, batch 2).
 _ATTENTION_CHUNK_BYTES = 2 ** 20
 
 
-def attention(q, k, v, causal=False):
-    """softmax(q kᵀ / sqrt(D) + mask) v over (N, T, D) q, k, v; the mask hides the future if causal.
+def attention(x, wq, wk, wv, wo, causal=False):
+    """Self-attention over (N, T, C) x: softmax(q kᵀ / sqrt(D) + mask) v wo, for q, k, v = x wq, x wk, x wv.
 
-    Splits the leading axis over the pool, and each worker runs over chunks
-    of its rows, so only one chunk's (rows, T, T) scores per worker exist at
-    a time. The tape keeps q, k and v, and backward recomputes each chunk's
-    probabilities from them.
+    The mask hides the future if causal. Splits the leading axis over the
+    pool, and each worker runs over chunks of its rows: it projects the
+    chunk's rows of x to q, k and v, builds their scores and probabilities,
+    and writes (p v) wo into the output. So only one chunk's q, k, v and
+    (rows, T, T) scores per worker exist at a time. The tape keeps x and the
+    weights, and backward recomputes each chunk's q, k, v, probabilities and
+    p v from them. Each projection is a GEMM over a chunk's rows·T rows of
+    x, and a GEMM gives each row the same bits however its rows are split,
+    as long as no part is a single row (numpy runs that as a GEMV). So the
+    output and grads have the bits of the unfused matmuls.
     """
-    qd, kd, vd = q.data, k.data, v.data
-    n, t, d = qd.shape
-    dtype = np.result_type(qd, kd)
+    xd, wqd, wkd, wvd, wod = (a.data for a in (x, wq, wk, wv, wo))
+    n, t, c = xd.shape
+    d, dv = wqd.shape[1], wvd.shape[1]
+    qdt, kdt, vdt = (np.result_type(xd, w) for w in (wqd, wkd, wvd))
+    dtype = np.result_type(qdt, kdt)
+    pdt = np.result_type(dtype, vdt)  # of p v
     scale = dtype.type(1.0 / math.sqrt(d))
-    ranges = _split(n, n * t * t)
+    ranges = _split(n, n * t * t, 2 if t == 1 else 1)  # a GEMM of one row would run as a GEMV
     rows = max(1, _ATTENTION_CHUNK_BYTES // (len(ranges) * t * t * dtype.itemsize))
 
-    def scratch(gdt=None):
-        """Each worker's buffers: scores and kᵀ of one chunk, and in backward their grads.
+    def scratch(*extra):
+        """Each worker's buffers for one chunk: q, k, kᵀ, v and scores, then those of `extra`.
 
         Each kind is one array, cut into the workers' shares, so the
         allocations are those of the serial loop.
         """
-        shapes = ((t, t), (d, t)) if gdt is None else ((t, t), (d, t), (t, t), (d, t))
-        dtypes = (dtype, kd.dtype, gdt, gdt)
+        kinds = ((t, d), qdt), ((t, d), kdt), ((d, t), kdt), ((t, dv), vdt), ((t, t), dtype)
         ends = np.cumsum([0] + [min(rows, hi - lo) for lo, hi in ranges])
-        kinds = [np.empty((ends[-1],) + shape, dtype=dt) for shape, dt in zip(shapes, dtypes)]
-        return [[a[lo:hi] for a in kinds] for lo, hi in zip(ends[:-1], ends[1:])]
+        arrays = [np.empty((ends[-1],) + shape, dtype=dt) for shape, dt in kinds + extra]
+        return [[a[lo:hi] for a in arrays] for lo, hi in zip(ends[:-1], ends[1:])]
 
-    def probs(lo, hi, scores, keys):
-        """Each chunk of rows lo..hi-1: its bounds, probabilities and kᵀ, in one worker's buffers."""
+    def chunks(lo, hi, qs, ks, keys, vs, scores):
+        """Each chunk of rows lo..hi-1: its bounds, q, probabilities, kᵀ and v, in one worker's buffers."""
         mask = np.triu(np.full((t, t), -1e9, dtype=dtype), k=1) if causal else None
         for c_lo in range(lo, hi, rows):
             c_hi = min(c_lo + rows, hi)
-            kt = keys[:c_hi - c_lo]
-            np.copyto(kt, np.swapaxes(kd[c_lo:c_hi], -1, -2))
-            p = np.matmul(qd[c_lo:c_hi], kt, out=scores[:c_hi - c_lo])
+            m = c_hi - c_lo
+            q, k, kt, v = qs[:m], ks[:m], keys[:m], vs[:m]
+            for a, w in ((q, wqd), (k, wkd), (v, wvd)):
+                np.matmul(xd[c_lo:c_hi].reshape(m * t, c), w, out=a.reshape(m * t, -1))
+            np.copyto(kt, np.swapaxes(k, -1, -2))
+            p = np.matmul(q, kt, out=scores[:m])
             p *= scale
             if mask is not None:
                 p += mask
-            yield c_lo, c_hi, _softmax_inplace(p), kt
+            yield c_lo, c_hi, q, _softmax_inplace(p), kt, v
 
-    y = np.empty((n, t, vd.shape[-1]), dtype=np.result_type(dtype, vd))
-    buffers = scratch()
+    y = np.empty((n * t, wod.shape[1]), dtype=np.result_type(pdt, wod))  # the rows of (p v) wo
+    buffers = scratch(((t, dv), pdt))
 
     def forward(lo, hi, slot):
-        for c_lo, c_hi, p, _ in probs(lo, hi, *buffers[slot]):
-            np.matmul(p, vd[c_lo:c_hi], out=y[c_lo:c_hi])
+        *buf, pvs = buffers[slot]
+        for c_lo, c_hi, _, p, _, v in chunks(lo, hi, *buf):
+            pv = np.matmul(p, v, out=pvs[:c_hi - c_lo])
+            np.matmul(pv.reshape(-1, dv), wod, out=y[c_lo * t:c_hi * t])
 
     _parallel(ranges, forward)
-    nq, nk, nv = q._node, k._node, v._node
+    nx, nq, nk, nv, no = (a._node for a in (x, wq, wk, wv, wo))
 
     def bwd(g):
-        gdt = np.result_type(g, dtype, vd)
-        gq, gk, gv = (np.empty(a.shape, dtype=gdt) if node is not None else None
-                      for a, node in ((qd, nq), (kd, nk), (vd, nv)))
-        buffers = scratch(gdt)
+        g2 = g.reshape(-1, g.shape[-1])
+        gpv = _gemm(g2, wod.T).reshape(n, t, dv)  # the grad of p v
+        gdt = np.result_type(gpv, dtype, vdt)
+        gq, gk, gv = (np.empty((n, t, width), dtype=gdt) if nx is not None or node is not None
+                      else None for node, width in ((nq, d), (nk, d), (nv, dv)))
+        pv = np.empty((n, t, dv), dtype=pdt) if no is not None else None
+        buffers = scratch(((t, t), gdt), ((d, t), gdt))
 
         def backward(lo, hi, slot):
-            scores, keys, score_grads, key_grads = buffers[slot]
-            for c_lo, c_hi, p, kt in probs(lo, hi, scores, keys):
-                gc = g[c_lo:c_hi]
+            *buf, score_grads, key_grads = buffers[slot]
+            for c_lo, c_hi, q, p, kt, v in chunks(lo, hi, *buf):
+                gc = gpv[c_lo:c_hi]
+                if pv is not None:
+                    np.matmul(p, v, out=pv[c_lo:c_hi])
                 if gv is not None:
                     np.matmul(np.swapaxes(p, -1, -2), gc, out=gv[c_lo:c_hi])
                 if gq is None and gk is None:
                     continue
                 # the softmax grad, p·(gp - Σ p·gp), in place of gp and then p
-                gs = np.matmul(gc, np.swapaxes(vd[c_lo:c_hi], -1, -2), out=score_grads[:c_hi - c_lo])
+                gs = np.matmul(gc, np.swapaxes(v, -1, -2), out=score_grads[:c_hi - c_lo])
                 gs *= p
                 gs -= np.multiply(p, gs.sum(axis=-1, keepdims=True), out=p if p.dtype == gdt else None)
                 gs *= scale
                 if gq is not None:
                     np.matmul(gs, np.swapaxes(kt, -1, -2), out=gq[c_lo:c_hi])
                 if gk is not None:
-                    kg = np.matmul(np.swapaxes(qd[c_lo:c_hi], -1, -2), gs, out=key_grads[:c_hi - c_lo])
+                    kg = np.matmul(np.swapaxes(q, -1, -2), gs, out=key_grads[:c_hi - c_lo])
                     gk[c_lo:c_hi] = np.swapaxes(kg, -1, -2)
 
         _parallel(ranges, backward)
-        for node, grad in ((nq, gq), (nk, gk), (nv, gv)):
+        del gpv, buffers  # each full-size when one chunk covers the batch: free them first
+        if no is not None:
+            no.accumulate(pv.reshape(-1, dv).T @ g2)
+        del pv
+        # each projection as its matmul's backward did, and x's grad from q, then k, then v
+        for node, w, grad in ((nq, wqd, gq), (nk, wkd, gk), (nv, wvd, gv)):
+            if grad is None:
+                continue
+            grad = grad.reshape(-1, grad.shape[-1])
+            if nx is not None:
+                nx.accumulate(_gemm(grad, w.T).reshape(n, t, c))
             if node is not None:
-                node.accumulate(grad)
+                node.accumulate(xd.reshape(-1, c).T @ grad)
 
-    return _make(y, (q, k, v), bwd)
+    return _make(y.reshape(n, t, -1), (x, wq, wk, wv, wo), bwd)
 
 
 def cross_entropy(logits, targets):
@@ -977,10 +1010,7 @@ class SelfAttention(Module):
         self.causal = causal
 
     def __call__(self, x):
-        # q, k and v are passed straight in, so under no_grad they are freed
-        # before the output projection runs
-        return matmul(attention(matmul(x, self.wq), matmul(x, self.wk), matmul(x, self.wv),
-                                self.causal), self.wo)
+        return attention(x, self.wq, self.wk, self.wv, self.wo, self.causal)
 
 
 class TransformerBlock(Module):

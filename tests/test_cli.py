@@ -86,7 +86,7 @@ def test_train_idm_and_idm_study(tmp_path, monkeypatch):
     cli.main(["train-idm", "--fold", "1", "--data", str(episodes), "--out", str(ckpt)])
     cli.main(["idm-study", "--families", "1", "--traj", "1", "--out", str(study)])
     model, meta = storage.load_model(ckpt)
-    assert meta["kind"] == "idm" and model.d == 8
+    assert meta["kind"] == "idm" and model.d == 8 and model.window == data.WINDOW
     lines = study.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "families,traj_per_task,few_shot_acc,zero_shot_acc"
     assert len(lines) == 2 and lines[1].startswith("1,1,")

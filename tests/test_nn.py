@@ -1,3 +1,6 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,25 +211,28 @@ def test_causal_attention_masks_future():
     assert not np.allclose(y1[0, -1], y2[0, -1])
 
 
-def _qkv(rng, n, t, d, dtype):
-    return [rng.normal(size=(n, t, d)).astype(dtype) for _ in range(3)]
+def _attention_inputs(rng, n, t, dtype):
+    """x (n, t, 5) and the weights of the q, k, v and output projections, of differing widths."""
+    shapes = [(n, t, 5), (5, 3), (5, 3), (5, 4), (4, 5)]
+    return [rng.normal(size=s).astype(dtype) for s in shapes]
 
 
 @pytest.mark.parametrize("causal", [False, True])
-@pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
+@pytest.mark.parametrize("which", [0, 1, 2, 3, 4], ids=["x", "q", "k", "v", "o"])
 def test_attention_grad(which, causal):
+    """The grad of x and of the weight of each projection (q, k, v, output)."""
     rng = np.random.default_rng(11)
-    qkv = [nn.Tensor(a) for a in _qkv(rng, 2, 4, 3, np.float64)]
+    inputs = _attention_inputs(rng, 2, 4, np.float64)
+    args = [nn.Tensor(a) for a in inputs]
 
-    def loss(x):
-        args = qkv[:which] + [x] + qkv[which + 1:]
-        return nn.mse(nn.attention(*args, causal), 0.1)
+    def loss(a):
+        return nn.mse(nn.attention(*(args[:which] + [a] + args[which + 1:]), causal), 0.1)
 
-    _gradcheck_input(loss, rng.normal(size=(2, 4, 3)))
+    _gradcheck_input(loss, inputs[which])
 
 
 def _composed_attention(q, k, v, causal):
-    """The matmul / softmax / matmul composition nn.attention replaces."""
+    """The matmul / softmax / matmul composition at the core of nn.attention."""
     t = q.shape[-2]
     scores = nn.mul(nn.matmul(q, nn.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[-1]))
     if causal:
@@ -234,23 +240,62 @@ def _composed_attention(q, k, v, causal):
     return nn.matmul(nn.softmax(scores, axis=-1), v)
 
 
-@pytest.mark.parametrize("causal", [False, True])
-@pytest.mark.parametrize("t", [36, 256])
-def test_attention_matches_composition_bit_for_bit(t, causal):
-    """Over several chunks and a ragged last one, outputs and all three grads are equal."""
+def _composed_self_attention(x, wq, wk, wv, wo, causal):
+    """The unfused ops nn.attention replaces: four projections around _composed_attention."""
+    q, k, v = (nn.matmul(x, w) for w in (wq, wk, wv))
+    return nn.matmul(_composed_attention(q, k, v, causal), wo)
+
+
+def _fused_and_composed(t, causal, x_needs_grad=True):
+    """Output and grads of nn.attention and of its composition, over several chunks and a ragged one."""
     rows = max(1, nn._ATTENTION_CHUNK_BYTES // (t * t * 4))
     n = 2 * rows + rows // 2 + 1
     rng = np.random.default_rng(12)
-    arrays = _qkv(rng, n, t, 5, np.float32)
+    arrays = _attention_inputs(rng, n, t, np.float32)
     g = rng.normal(size=(n, t, 5)).astype(np.float32)
     results = []
-    for op in (_composed_attention, nn.attention):
-        qkv = [nn.Tensor(a.copy(), requires_grad=True) for a in arrays]
-        y = op(*qkv, causal)
+    for op in (_composed_self_attention, nn.attention):
+        inputs = [nn.Tensor(a.copy(), requires_grad=x_needs_grad or i > 0) for i, a in enumerate(arrays)]
+        y = op(*inputs, causal)
         y.backward(g)
-        results.append([y.data] + [x.grad for x in qkv])
-    for ref, got in zip(*results):
-        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        results.append([y.data] + [a.grad for a in inputs])
+    return results
+
+
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("t", [36, 256])
+def test_attention_matches_composition_bit_for_bit(t, causal):
+    """The output and all five grads (x, wq, wk, wv, wo) have the bytes of the unfused ops."""
+    ref, got = _fused_and_composed(t, causal)
+    for r, a in zip(ref, got):
+        assert a.dtype == r.dtype and a.shape == r.shape and a.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_attention_weight_grads_match_composition_when_x_needs_none(causal):
+    """With x off the tape, the output and the four weight grads still have the unfused ops' bytes."""
+    ref, got = _fused_and_composed(36, causal, x_needs_grad=False)
+    assert ref[1] is None and got[1] is None
+    for r, a in zip(ref[:1] + ref[2:], got[:1] + got[2:]):
+        assert a.dtype == r.dtype and a.shape == r.shape and a.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["no_grad", "taped"])
+def test_attention_forward_allocates_no_full_q_k_or_v(grad):
+    """Beside its output, the forward allocates less than one full (N, T, D) q: only chunk buffers."""
+    rng = np.random.default_rng(13)
+    n, t, d = 4096, 36, 12
+    x = nn.Tensor(rng.normal(size=(n, t, d)).astype(np.float32))
+    ws = [nn.Param(rng.normal(size=(d, d)).astype(np.float32)) for _ in range(4)]
+    tracemalloc.start()
+    try:
+        with contextlib.nullcontext() if grad else nn.no_grad():
+            y = nn.attention(x, *ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad == grad
+    assert peak - y.data.nbytes < n * t * d * 4 // 2
 
 
 def test_cross_entropy_uniform_logits():

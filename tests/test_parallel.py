@@ -87,9 +87,9 @@ def test_conv2d_splits_at_the_denoiser_size(monkeypatch, split_counts):
 @pytest.mark.parametrize("n, t", [(7, 36), (2, 9), (5, 256)])
 def test_attention_splits_keep_every_bit(n, t, causal, monkeypatch, split_counts):
     rng = np.random.default_rng(t)
-    arrays = [_normal(rng, n, t, 6) for _ in range(3)]
+    arrays = [_normal(rng, n, t, 6)] + [_normal(rng, 6, 6) for _ in range(4)]
     _assert_same_bits_at_any_worker_count(
-        lambda q, k, v: nn.attention(q, k, v, causal), arrays, monkeypatch, split_counts)
+        lambda x, *w: nn.attention(x, *w, causal), arrays, monkeypatch, split_counts)
 
 
 @pytest.mark.parametrize("shape", [(5, 7, 12), (2, 48)])
@@ -134,15 +134,15 @@ def test_row_split_gemms_keep_every_bit(op, shapes, monkeypatch, split_counts):
 
 def test_splits_keep_every_bit_under_frequent_thread_switches(monkeypatch, split_counts):
     """More workers than cores, with the interpreter switching threads every microsecond."""
-    def block(x, w, b, gamma, beta):
+    def block(x, w, b, gamma, beta, wq, wk, wv, wo):
         h = nn.conv2d(x, w, b)
         n, hh, ww, o = h.shape
         t = nn.layernorm(h, gamma, beta).reshape(n, hh * ww, o)
-        return nn.attention(t, t, t, causal=True)
+        return nn.attention(t, wq, wk, wv, wo, causal=True)
 
     rng = np.random.default_rng(8)
     arrays = [_normal(rng, 6, 5, 5, 3), _normal(rng, 3, 3, 3, 4), _normal(rng, 4),
-              _normal(rng, 4), _normal(rng, 4)]
+              _normal(rng, 4), _normal(rng, 4)] + [_normal(rng, 4, 4) for _ in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
