@@ -200,7 +200,7 @@ def _cmd_report(args):
 
 
 def main(argv=None):
-    from . import data
+    from . import data, env
     ap = argparse.ArgumentParser(prog="minimanip", description="Desk-scale skill learning from generated demonstration videos.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -212,7 +212,7 @@ def main(argv=None):
     p.add_argument("--task", required=True)
     p.add_argument("--episodes", type=int, default=20)
     p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--max-steps", type=int, default=500)
+    p.add_argument("--max-steps", type=int, default=env.MAX_STEPS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_collect)

@@ -139,16 +139,14 @@ def load_dataset(root, task_ids=None):
 # Preprocessing
 # ---------------------------------------------------------------------------
 
-def subsample_frames(traj, skip=SKIP, max_frames=VIDEO_FRAMES):
-    """Fixed-length video tensor: take every skip-th frame, pad by repeating."""
+def subsample_frames(traj):
+    """Fixed-length video tensor: take every SKIP-th frame up to VIDEO_FRAMES, pad by repeating."""
     frames = traj.frames if isinstance(traj, Trajectory) else np.asarray(traj)
-    if skip < 1:
-        raise ValueError("skip must be >= 1")
     if len(frames) == 0:
         raise ValueError("empty trajectory")
-    picked = frames[::skip][:max_frames]
-    if len(picked) < max_frames:
-        pad = np.repeat(picked[-1:], max_frames - len(picked), axis=0)
+    picked = frames[::SKIP][:VIDEO_FRAMES]
+    if len(picked) < VIDEO_FRAMES:
+        pad = np.repeat(picked[-1:], VIDEO_FRAMES - len(picked), axis=0)
         picked = np.concatenate([picked, pad], axis=0)
     return picked
 

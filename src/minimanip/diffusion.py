@@ -240,27 +240,28 @@ class DvgConfig:
 
 
 def prepare_dvg_dataset(items):
-    """(video u8, task id, pose u8) triples -> packed float arrays.
+    """(video u8, task id, pose u8) triples -> the training set, frames kept as given.
 
-    Returns dict with videos (N,F,64,64,3) in [-1,1], text (N,32) holding each
-    task's `prompts.task_embedding`, and pose videos (N,F,64,64,1) in [0,1].
+    Returns dict with videos, the items' own (F,64,64,3) uint8 arrays, text
+    (N,32) float32 holding each task's `prompts.task_embedding`, and pose, the
+    items' own (F,64,64,1) uint8 pose videos. `train_dvg` converts each batch
+    it draws, so the set is never held as float.
     """
     if not items:
         raise ValueError("empty dataset")
-    videos, texts, poses = [], [], []
-    for video, task, pose_video in items:
-        videos.append(to_unit(video))
-        texts.append(prompts.task_embedding(task))
-        poses.append(np.asarray(pose_video, dtype=np.float32) / 255.0)
+    videos, tasks, poses = zip(*items)
     return {
-        "videos": np.asarray(videos, dtype=np.float32),
-        "text": np.asarray(texts, dtype=np.float32),
-        "pose": np.asarray(poses, dtype=np.float32),
+        "videos": videos,
+        "text": np.asarray([prompts.task_embedding(t) for t in tasks], dtype=np.float32),
+        "pose": poses,
     }
 
 
 def train_dvg(items, config=None, hook=None):
-    """Mini-batch epsilon-prediction training on `prepare_dvg_dataset` items; returns (model, loss log)."""
+    """Mini-batch epsilon-prediction training on `prepare_dvg_dataset` items; returns (model, loss log).
+
+    The set stays uint8: each step converts only the videos and pose videos it draws.
+    """
     cfg = config or DvgConfig()
     packed = prepare_dvg_dataset(items)
     videos, text, pose = packed["videos"], packed["text"], packed["pose"]
@@ -272,11 +273,11 @@ def train_dvg(items, config=None, hook=None):
     log = []
     for it in range(cfg.steps):
         idx = rng.integers(0, n, size=min(cfg.batch, n))
-        v0 = videos[idx]
+        v0 = to_unit(np.stack([videos[i] for i in idx]))
         t_idx = rng.integers(1, cfg.T + 1, size=len(idx))
         eps = rng.standard_normal(v0.shape).astype(np.float32)
         v_t = forward_diffuse(v0, t_idx, eps, sched)
-        feats = model.pose_features(pose[idx])
+        feats = model.pose_features(np.stack([pose[i] for i in idx]).astype(np.float32) / 255.0)
         pred = model(v_t, t_idx, text[idx], feats, sched.T)
         val = opt.minimize(nn.mse(pred, eps), it)
         log.append(val)

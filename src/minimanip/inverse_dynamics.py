@@ -59,11 +59,11 @@ class PatchStem(nn.Module):
 
 
 class FrameEncoder(nn.Module):
-    """Patch tokens -> attention block(s) -> pooled per-frame embedding."""
+    """Patch tokens -> one attention block -> pooled per-frame embedding."""
 
-    def __init__(self, d, rng, blocks=1):
+    def __init__(self, d, rng):
         self.stem = PatchStem(d, rng)
-        self.blocks = [nn.TransformerBlock(d, rng) for _ in range(blocks)]
+        self.blocks = [nn.TransformerBlock(d, rng)]
 
     def __call__(self, frames):
         """frames (N, 64, 64, 3) ndarray -> (N, d)."""
@@ -76,11 +76,10 @@ class FrameEncoder(nn.Module):
 class ActionDecoder(nn.Module):
     """Bidirectional temporal encoder + per-transition bin heads."""
 
-    def __init__(self, rng, d=64, window=data.WINDOW, frame_blocks=1,
-                 temporal_blocks=2):
+    def __init__(self, rng, d=64, window=data.WINDOW, temporal_blocks=2):
         self.d = d
         self.window = window
-        self.encoder = FrameEncoder(d, rng, blocks=frame_blocks)
+        self.encoder = FrameEncoder(d, rng)
         self.tpos = nn.Param((0.3 * rng.normal(size=(window, d))).astype(np.float32))
         self.temporal = [nn.TransformerBlock(d, rng) for _ in range(temporal_blocks)]
         self.head = ActionHead(2 * d, rng)

@@ -58,7 +58,7 @@ class VariantClassifier(nn.Module):
     """Frame-level patch encoder + 16-way variant head (video = frame mean)."""
 
     def __init__(self, rng, d=48):
-        self.encoder = FrameEncoder(d, rng, blocks=1)
+        self.encoder = FrameEncoder(d, rng)
         self.head = nn.Linear(d, len(env.TASK_IDS), rng)
 
     def __call__(self, frames):

@@ -55,7 +55,7 @@ class HistoryPolicy(nn.Module):
     def __init__(self, rng, d=64, blocks=2, history=HISTORY):
         self.d = d
         self.history = history
-        self.encoder = FrameEncoder(d, rng, blocks=1)
+        self.encoder = FrameEncoder(d, rng)
         self.prompt_fc = nn.Linear(prompts.EMBED_DIM, d, rng)
         self.tpos = nn.Param((0.3 * rng.normal(size=(history + 1, d))).astype(np.float32))
         self.blocks = [nn.TransformerBlock(d, rng, causal=True) for _ in range(blocks)]

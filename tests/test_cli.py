@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from minimanip import cli, data, diffusion, pipeline, policies, storage
+from minimanip import cli, data, diffusion, env, pipeline, policies, storage
 from minimanip import inverse_dynamics as idm
 
 
@@ -18,7 +18,7 @@ def test_collect_label_eval_chain(tmp_path, capsys):
     cli.main(["sample", "--ckpt", str(dvg_ckpt), "--task", "reach", "--T", "2", "--out", str(videos)])
 
     idm_ckpt = tmp_path / "idm.ckpt"
-    init = {"d": 16, "frame_blocks": 1, "temporal_blocks": 1}
+    init = {"d": 16, "temporal_blocks": 1}
     storage.save_model(idm_ckpt, idm.ActionDecoder(np.random.default_rng(0), **init), "idm", init)
     actions = tmp_path / "actions.bin"
     cli.main(["label", "--ckpt", str(idm_ckpt), "--video", str(videos / "reach_000.bin"), "--out", str(actions)])
@@ -39,10 +39,25 @@ def test_collect_label_eval_chain(tmp_path, capsys):
         "actions.bin", "dvg.ckpt", "idm.ckpt", "lcbc.ckpt", "reach_000.bin", "reach_00000000.episode"]
 
 
+def test_collect_steps_default_to_the_simulator_limit(tmp_path, monkeypatch):
+    """--max-steps follows env.MAX_STEPS: a lowered limit reaches data.collect."""
+    seen = {}
+
+    def collect(task, **kwargs):  # record the call; nothing is rolled out or written
+        seen.update(kwargs)
+        raise SystemExit("collect called")
+
+    monkeypatch.setattr(data, "collect", collect)
+    monkeypatch.setattr(env, "MAX_STEPS", 7)
+    with pytest.raises(SystemExit, match="collect called"):
+        cli.main(["collect", "--task", "reach", "--out", str(tmp_path / "episodes")])
+    assert seen["max_steps"] == env.MAX_STEPS == 7
+
+
 @pytest.mark.parametrize("loader", ["load_trajectory", "label", "load_model"])
 def test_loaders_reject_other_kinds(tmp_path, loader):
     idm_ckpt = tmp_path / "idm.ckpt"
-    init = {"d": 16, "frame_blocks": 1, "temporal_blocks": 1}
+    init = {"d": 16, "temporal_blocks": 1}
     storage.save_model(idm_ckpt, idm.ActionDecoder(np.random.default_rng(0), **init), "idm", init)
     load, accepts = {
         "load_trajectory": (data.load_trajectory, ("episode",)),
@@ -66,7 +81,7 @@ def test_sample_writes_the_videos_generate_demonstrations_samples(tmp_path):
                        "dvg", {"channels": [2, 3, 4]})
     cli.main(["sample", "--ckpt", str(ckpt), "--task", "door-open", "--count", "3", "--seed", "5",
               "--T", "2", "--out", str(tmp_path / "videos")])
-    labeler = idm.ActionDecoder(np.random.default_rng(1), d=16, frame_blocks=1, temporal_blocks=1)
+    labeler = idm.ActionDecoder(np.random.default_rng(1), d=16, temporal_blocks=1)
     demos = pipeline.generate_demonstrations("door-open", 3, storage.load_model(ckpt)[0], labeler,
                                              diffusion.build_schedule(2, "cosine"), seed=5,
                                              classifier=pipeline.VariantClassifier(np.random.default_rng(2), d=8))

@@ -61,7 +61,7 @@ def test_episode_file_layout(tmp_path, short_traj):
 
 def test_subsample_index_arithmetic():
     frames = np.arange(200)[:, None, None, None] * np.ones((1, 64, 64, 3), dtype=np.uint8)
-    picked = data.subsample_frames(frames, skip=3, max_frames=36)
+    picked = data.subsample_frames(frames)
     assert picked.shape[0] == 36
     assert picked[0, 0, 0, 0] == 0 and picked[1, 0, 0, 0] == 3
     assert picked[35, 0, 0, 0] == 105
@@ -69,16 +69,18 @@ def test_subsample_index_arithmetic():
 
 def test_subsample_padding():
     frames = np.arange(30)[:, None, None, None] * np.ones((1, 64, 64, 3), dtype=np.uint8)
-    picked = data.subsample_frames(frames, skip=3, max_frames=36)
+    picked = data.subsample_frames(frames)
     vals = picked[:, 0, 0, 0]
     assert list(vals[:10]) == [0, 3, 6, 9, 12, 15, 18, 21, 24, 27]
     assert np.all(vals[10:] == 27)
 
 
-def test_subsample_identity():
-    frames = np.arange(36)[:, None, None, None] * np.ones((1, 64, 64, 3), dtype=np.uint8)
-    picked = data.subsample_frames(frames, skip=1, max_frames=36)
-    assert np.array_equal(picked[:, 0, 0, 0], np.arange(36))
+def test_subsample_exact_length_needs_no_padding():
+    n = data.SKIP * (data.VIDEO_FRAMES - 1) + 1  # 106: the last frame is the last one picked
+    frames = np.arange(n)[:, None, None, None] * np.ones((1, 64, 64, 3), dtype=np.uint8)
+    picked = data.subsample_frames(frames)
+    assert np.array_equal(picked[:, 0, 0, 0], np.arange(0, n, data.SKIP))
+    assert picked[-1, 0, 0, 0] == n - 1 == 105
 
 
 def test_subsampled_pose_track_matches_frames(short_traj):

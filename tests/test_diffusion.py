@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,15 +173,54 @@ def test_sampling_deterministic_under_seed():
     assert v1.dtype == np.uint8
 
 
-def test_train_dvg_determinism_and_batch_mean():
+def _param_digest(model):
+    """sha256 (first 16 hex digits) over the names, shapes, dtypes and bytes of the parameters."""
+    h = hashlib.sha256()
+    for name, p in sorted(model.params().items()):
+        h.update(f"{name}{p.data.shape}{p.data.dtype}".encode())
+        h.update(np.ascontiguousarray(p.data).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _tiny_dvg_run():
+    """A seeded 3-step train_dvg run on three tasks' random uint8 videos and pose videos."""
     rng = np.random.default_rng(0)
-    video = rng.integers(0, 256, size=(36, 64, 64, 3)).astype(np.uint8)
-    pose = np.zeros((36, 64, 64, 1), dtype=np.uint8)
-    items = [(video, "button-press", pose)]
-    cfg = dvg.DvgConfig(steps=3, batch=1, T=20, channels=(4, 6, 8), seed=5)
-    _, log1 = dvg.train_dvg(items, cfg)
-    _, log2 = dvg.train_dvg(items, cfg)
+    items = [(rng.integers(0, 256, size=(36, 64, 64, 3)).astype(np.uint8), task,
+              rng.integers(0, 256, size=(36, 64, 64, 1)).astype(np.uint8))
+             for task in ("button-press", "door-open", "reach")]
+    cfg = dvg.DvgConfig(steps=3, batch=2, T=20, channels=(4, 6, 8), seed=5)
+    return dvg.train_dvg(items, cfg)
+
+
+def test_train_dvg_determinism_and_batch_mean():
+    model1, log1 = _tiny_dvg_run()
+    model2, log2 = _tiny_dvg_run()
     assert log1 == log2
+    assert _param_digest(model1) == _param_digest(model2)
+
+
+def test_train_dvg_bits_are_pinned():
+    """The tiny run's loss log and final parameters, bit for bit, with BLAS on one thread.
+
+    Recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64. A BLAS that threads
+    sums some GEMMs in another order, so the run gets a process of its own
+    with BLAS pinned.
+    """
+    script = f"""
+import importlib.util
+spec = importlib.util.spec_from_file_location("dvg_tests", {os.path.abspath(__file__)!r})
+tests = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tests)
+model, log = tests._tiny_dvg_run()
+print(*(v.hex() for v in log), tests._param_digest(model))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dvg.__file__)))
+    one = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, **one, "PYTHONPATH": src}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0x1.124b840000000p+0", "0x1.0bcb280000000p+0",
+                                   "0x1.20f09c0000000p+0", "663b81f0e04fc98d"]
 
 
 def test_gradcheck_miniature_denoiser():
@@ -217,12 +262,30 @@ def test_psnr():
 
 
 def test_prepare_dvg_dataset_reads_task_embeddings():
-    video = np.zeros((36, 64, 64, 3), dtype=np.uint8)
-    pose = np.full((36, 64, 64, 1), 255, dtype=np.uint8)
-    packed = dvg.prepare_dvg_dataset([(video, "door-open", pose), (video, "reach", pose)])
+    videos = [np.full((36, 64, 64, 3), k, dtype=np.uint8) for k in (0, 1)]
+    poses = [np.full((36, 64, 64, 1), k, dtype=np.uint8) for k in (254, 255)]
+    packed = dvg.prepare_dvg_dataset([(videos[0], "door-open", poses[0]), (videos[1], "reach", poses[1])])
     assert packed["text"].dtype == np.float32
     assert np.array_equal(packed["text"][0], prompts.task_embedding("door-open").astype(np.float32))
     assert np.array_equal(packed["text"][1], prompts.task_embedding("reach").astype(np.float32))
-    assert packed["pose"].max() == 1.0
+    # the set keeps the items' own uint8 arrays: train_dvg converts each batch it draws
+    assert all(a is b for a, b in zip(packed["videos"], videos, strict=True))
+    assert all(a is b for a, b in zip(packed["pose"], poses, strict=True))
     with pytest.raises(ValueError, match="unknown task"):
-        dvg.prepare_dvg_dataset([(video, "button press", pose)])
+        dvg.prepare_dvg_dataset([(videos[0], "button press", poses[0])])
+
+
+def test_prepare_dvg_dataset_copies_no_frames():
+    """24 items of 36 frames: the packed set allocates only the text rows, not a float copy."""
+    video = np.zeros((36, 64, 64, 3), dtype=np.uint8)
+    pose = np.zeros((36, 64, 64, 1), dtype=np.uint8)
+    items = [(video, task, pose) for task in ("door-open", "reach", "button-press")] * 8
+    dvg.prepare_dvg_dataset(items)  # the task embeddings are cached from here on
+    tracemalloc.start()
+    try:
+        packed = dvg.prepare_dvg_dataset(items)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(packed["videos"]) == len(packed["pose"]) == 24
+    assert peak < 1 << 20

@@ -7,7 +7,7 @@ from minimanip import inverse_dynamics as idm
 
 @pytest.fixture(scope="module")
 def tiny_model():
-    return idm.ActionDecoder(np.random.default_rng(0), d=32, frame_blocks=1, temporal_blocks=1)
+    return idm.ActionDecoder(np.random.default_rng(0), d=32, temporal_blocks=1)
 
 
 def test_forward_shape(tiny_model):
@@ -212,8 +212,7 @@ def test_label_video_too_short(tiny_model):
 
 
 def test_gradcheck_miniature_idm():
-    model = idm.ActionDecoder(np.random.default_rng(0), d=8, window=3,
-                              frame_blocks=1, temporal_blocks=1).astype(np.float64)
+    model = idm.ActionDecoder(np.random.default_rng(0), d=8, window=3, temporal_blocks=1).astype(np.float64)
     rng = np.random.default_rng(1)
     frames = rng.random((1, 3, 64, 64, 3))
     targets = rng.integers(0, 256, size=(1, 2, 3))

@@ -135,7 +135,7 @@ def test_generate_demonstrations_smoke():
     from minimanip import diffusion
     from minimanip import inverse_dynamics as idm
     dvg_model = diffusion.VideoDenoiser(np.random.default_rng(0), channels=(4, 6, 8))
-    idm_model = idm.ActionDecoder(np.random.default_rng(1), d=32, frame_blocks=1, temporal_blocks=1)
+    idm_model = idm.ActionDecoder(np.random.default_rng(1), d=32, temporal_blocks=1)
     sched = diffusion.build_schedule(3, "cosine")
     demos = pipeline.generate_demonstrations("reach", 2, dvg_model, idm_model, sched, seed=0, batch=2,
                                              classifier=_Classifier("reach"))
@@ -213,7 +213,7 @@ def _frames(*lead):
 
 @pytest.mark.parametrize("build,forward", [
     (lambda rng: diffusion.VideoDenoiser(rng, channels=(2, 3, 4), cond_dim=8, frames=2), _denoise),
-    (lambda rng: idm.ActionDecoder(rng, d=8, window=3, frame_blocks=1, temporal_blocks=1),
+    (lambda rng: idm.ActionDecoder(rng, d=8, window=3, temporal_blocks=1),
      lambda m: m(_frames(1, 3))),
     (lambda rng: policies.SingleFramePolicy(rng, d=8, blocks=1), lambda m: m(_frames(1), _PROMPT)),
     (lambda rng: policies.HistoryPolicy(rng, d=8, blocks=1, history=2),

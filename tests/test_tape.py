@@ -57,7 +57,7 @@ def dvg_loss(rng):
 
 
 def idm_loss(rng):
-    model = idm.ActionDecoder(rng, d=8, window=3, frame_blocks=1, temporal_blocks=1)
+    model = idm.ActionDecoder(rng, d=8, window=3, temporal_blocks=1)
     return model, nn.cross_entropy(model(_frames(rng, 2, 3)), _bins(rng, 2, 2, 3))
 
 
