@@ -32,7 +32,8 @@ otherwise BLAS threads by itself and the pool has one worker, the calling
 thread. Ops under _SPLIT_MIN_SIZE elements stay serial. A split never
 reorders the arithmetic of a row, so outputs and grads have the same bits
 for any worker count. Reductions over rows (weight, bias, gamma and beta
-grads) are never split by rows.
+grads) are never split by rows: conv2d's weight grad splits by taps, and
+each tap's grad is the serial loop's one GEMM over every row.
 Everything is deterministic given a seeded numpy Generator.
 """
 from __future__ import annotations
@@ -765,9 +766,9 @@ def conv2d(x, w, b, stride=1, pad=1):
     images within _CONV_BLOCK_BYTES, each padded into one reused buffer, so
     a block's taps all run in its core's cache. With one input channel a tap
     is a plain product, rounded once as a K=1 GEMM would round it. The
-    backward splits the input grad by images and the weight grad by input
-    channels. The output and grads have the bits of the unblocked serial
-    loop.
+    backward splits the input grad by images and the weight grad by taps,
+    each tap one whole (rows, c) GEMM. The output and grads have the bits
+    of the unblocked serial loop.
     """
     kh, kw, c, o = w.shape
     if kh == 1 and kw == 1 and stride == 1:
@@ -842,14 +843,18 @@ def conv2d(x, w, b, stride=1, pad=1):
                 nw.grad = np.zeros(w.shape, dtype=w.dtype)
             gw = nw.grad
 
-            def weight_grad(lo, hi, _):  # input channels lo..hi-1 of every tap
-                buf = flat[rows * lo:rows * hi].reshape(rows, hi - lo)
-                for i, j, sl in taps:
-                    np.copyto(buf.reshape(n, ho, wo, hi - lo), xp2[sl][..., lo:hi])
-                    gw[i, j, lo:hi] += buf.T @ gmat
+            parts = _split(len(taps), g.size)
+            # made here, not in the workers: what a pool thread frees stays in its own malloc arena
+            bufs = [flat] + [np.empty(rows * c, dtype=x.dtype) for _ in parts[1:]]
 
-            # at least two channels a part: a GEMM of one row would run as a GEMV
-            _parallel(_split(c, g.size, 2), weight_grad)
+            def weight_grad(lo, hi, slot):  # taps lo..hi-1, each the serial loop's whole GEMM
+                buf = bufs[slot].reshape(rows, c)
+                for i, j, sl in taps[lo:hi]:
+                    np.copyto(buf.reshape(n, ho, wo, c), xp2[sl])
+                    gw[i, j] += buf.T @ gmat
+
+            _parallel(parts, weight_grad)
+            del bufs
         if nx is None:
             return
         gx = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype)

@@ -204,23 +204,27 @@ def test_train_dvg_bits_are_pinned():
 
     Recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64. A BLAS that threads
     sums some GEMMs in another order, so the run gets a process of its own
-    with BLAS pinned.
+    with BLAS pinned. The op pool is forced to 1, 2 and 3 workers, whatever
+    cores the machine allows, and every count gives the serial loop's bits.
     """
-    script = f"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dvg.__file__)))
+    one = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    for workers in (1, 2, 3):
+        script = f"""
 import importlib.util
+from minimanip import nn
+nn._WORKERS = {workers}
 spec = importlib.util.spec_from_file_location("dvg_tests", {os.path.abspath(__file__)!r})
 tests = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tests)
 model, log = tests._tiny_dvg_run()
 print(*(v.hex() for v in log), tests._param_digest(model))
 """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dvg.__file__)))
-    one = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, **one, "PYTHONPATH": src}, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0x1.124b840000000p+0", "0x1.0bcb280000000p+0",
-                                   "0x1.20f09c0000000p+0", "663b81f0e04fc98d"]
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, **one, "PYTHONPATH": src}, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0x1.124b840000000p+0", "0x1.0bcb280000000p+0",
+                                       "0x1.20f09c0000000p+0", "ce2c1ed1b9f4029e"], workers
 
 
 def test_gradcheck_miniature_denoiser():

@@ -59,9 +59,9 @@ def _normal(rng, *shape):
 
 
 @pytest.mark.parametrize("n, hw, c, o, stride", [
-    (5, 9, 1, 4, 1),    # one input channel: the product path, a serial weight grad
-    (4, 8, 3, 5, 1),    # fewer than two channels per worker
-    (7, 10, 5, 6, 2),   # stride 2, ragged image and channel splits
+    (5, 9, 1, 4, 1),    # one input channel: the product path, one-row weight-grad GEMMs
+    (4, 8, 3, 5, 1),    # fewer input channels than taps
+    (7, 10, 5, 6, 2),   # stride 2, ragged image and tap splits
     (2, 6, 12, 4, 1),   # fewer images than three workers
     (5, 1, 4, 3, 1),    # one output pixel per image: each part keeps two images
 ])
@@ -75,12 +75,26 @@ def test_conv2d_splits_keep_every_bit(n, hw, c, o, stride, monkeypatch, split_co
 
 
 def test_conv2d_splits_at_the_denoiser_size(monkeypatch, split_counts):
-    """At a real 64x64 level and the real threshold the GEMMs take the same BLAS path split or not."""
+    """The denoiser's 64x64 level (12 channels to 24, stride 2) at the real threshold, same bits split or not."""
     monkeypatch.setattr(nn, "_SPLIT_MIN_SIZE", 2 ** 16)
     rng = np.random.default_rng(2)
     arrays = [_normal(rng, 3, 64, 64, 12), _normal(rng, 3, 3, 12, 24), _normal(rng, 24)]
     _assert_same_bits_at_any_worker_count(
         lambda x, w, b: nn.conv2d(x, w, b, stride=2), arrays, monkeypatch, split_counts)
+
+
+@pytest.mark.parametrize("n, hw, c, o, stride", [
+    (72, 64, 4, 6, 2),
+    (72, 16, 8, 8, 1),
+    (192, 64, 5, 16, 2),  # PatchStem's first conv
+])
+def test_conv2d_splits_at_real_sizes(n, hw, c, o, stride, monkeypatch, split_counts):
+    """Training-batch shapes at the real threshold: every weight-grad GEMM is the serial loop's."""
+    monkeypatch.setattr(nn, "_SPLIT_MIN_SIZE", 2 ** 16)
+    rng = np.random.default_rng(n + c)
+    arrays = [_normal(rng, n, hw, hw, c), _normal(rng, 3, 3, c, o), _normal(rng, o)]
+    _assert_same_bits_at_any_worker_count(
+        lambda x, w, b: nn.conv2d(x, w, b, stride=stride), arrays, monkeypatch, split_counts)
 
 
 @pytest.mark.parametrize("causal", [False, True])
