@@ -23,17 +23,24 @@ shifted copies. UpBlock projects before it upsamples (conv1x1_upsample2x),
 so its GEMM runs on a quarter of the rows and the tape keeps only the
 low-resolution input.
 
-The kernels of conv2d, attention, layernorm and the flat GEMMs (matmul with
-a 2-D right operand, conv1x1) split their independent rows (images,
-attention chunks, normalized rows, GEMM rows) over a thread pool. When the
+The kernels of conv2d, attention, layernorm, the flat GEMMs (matmul with
+a 2-D right operand, conv1x1) and the elementwise add, relu and transpose
+split their independent rows (images, attention chunks, normalized rows,
+GEMM rows, rows of the output's first axis longer than one) over a thread
+pool; add's split covers its broadcasts, its backward's grad copy and the
+grad sums of Node.accumulate, relu's its forward and backward. When the
 first of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS that is
 set is "1", the pool has one worker per core the process may run on;
 otherwise BLAS threads by itself and the pool has one worker, the calling
 thread. Ops under _SPLIT_MIN_SIZE elements stay serial. A split never
 reorders the arithmetic of a row, so outputs and grads have the same bits
 for any worker count. Reductions over rows (weight, bias, gamma and beta
-grads) are never split by rows: conv2d's weight grad splits by taps, and
-each tap's grad is the serial loop's one GEMM over every row.
+grads, add's unbroadcast sums) are never split by rows: conv2d's weight
+grad splits by taps, and each tap's grad is the serial loop's one GEMM over
+every row. Pool threads allocate no output and no full-size scratch
+buffer: the calling thread allocates them, and each part writes its rows
+of them, since what a pool thread frees stays in that thread's malloc
+arena.
 Everything is deterministic given a seeded numpy Generator.
 """
 from __future__ import annotations
@@ -65,7 +72,7 @@ class Node:
         if self.grad is None:
             self.grad = g
         else:
-            self.grad = self.grad + g
+            self.grad = _sum(self.grad, g)
 
 
 class Tensor:
@@ -220,11 +227,11 @@ def _saved(a, needed):
 # -- the worker pool -----------------------------------------------------
 #
 # The op kernels split independent rows (images, attention chunks, layernorm
-# rows, GEMM rows) over a pool of threads; numpy and BLAS release the GIL
-# while they work. Each row keeps its order of operations, so the result has
-# the same bits for any worker count. A worker runs numpy only: it never
-# calls an op, the tape or the pool, and it writes into arrays that the
-# calling thread allocated.
+# rows, GEMM rows, elementwise output rows) over a pool of threads; numpy
+# and BLAS release the GIL while they work. Each row keeps its order of
+# operations, so the result has the same bits for any worker count. A
+# worker runs numpy only: it never calls an op, the tape or the pool, and it
+# writes into arrays that the calling thread allocated.
 
 # The variables through which a BLAS library is told its thread count, in the
 # order OpenBLAS reads them: the first one set wins.
@@ -319,6 +326,53 @@ def _parallel(ranges, fn):
 
 
 # -- elementwise --------------------------------------------------------
+#
+# add, relu, transpose's copy and the grad sums run row by row: the calling
+# thread allocates the output, and each part writes its rows of it.
+
+def _rows(fn, out, *operands):
+    """out after fn(*operands, out=out), with out's rows split over the pool.
+
+    The rows are those of out's first axis longer than one, so that a batch
+    of one still splits. An operand that broadcasts along that axis is
+    passed whole to every part.
+    """
+    if out.ndim == 0:
+        fn(*operands, out=out)
+        return out
+    axis = 0
+    while axis < out.ndim - 1 and out.shape[axis] == 1:
+        axis += 1
+
+    def part(lo, hi, _):
+        cut = []
+        for a in operands:
+            k = axis - (out.ndim - a.ndim)  # out's split axis in a, numpy aligning the last axes
+            cut.append(a[(slice(None),) * k + (slice(lo, hi),)] if k >= 0 and a.shape[k] != 1 else a)
+        fn(*cut, out=out[(slice(None),) * axis + (slice(lo, hi),)])
+
+    _parallel(_split(out.shape[axis], out.size), part)
+    return out
+
+
+def _sum(a, b):
+    """a + b for arrays a and b, as numpy broadcasts and promotes it."""
+    return _rows(np.add, np.empty(np.broadcast(a, b).shape, np.result_type(a, b)), a, b)
+
+
+def _copyto(src, out):
+    np.copyto(out, src)
+
+
+def _copy(a):
+    """A C-contiguous copy of a."""
+    return _rows(_copyto, np.empty(a.shape, a.dtype), a)
+
+
+def _contiguous(a):
+    """a if it is C-contiguous, else a C-contiguous copy, as np.ascontiguousarray."""
+    return a if a.flags.c_contiguous else _copy(a)
+
 
 def add(a, b):
     a = _as_tensor(a)
@@ -329,13 +383,13 @@ def add(a, b):
         ga = _unbroadcast(g, a_shape) if na is not None else None
         gb = _unbroadcast(g, b_shape) if nb is not None else None
         if ga is not None and gb is not None and ga is gb:
-            gb = gb.copy()
+            gb = _copy(gb)
         if ga is not None:
             na.accumulate(ga)
         if gb is not None:
             nb.accumulate(gb)
 
-    return _make(a.data + b.data, (a, b), bwd)
+    return _make(_sum(a.data, b.data), (a, b), bwd)
 
 
 def mul(a, b):
@@ -370,11 +424,25 @@ def silu(x):
     return _make(xd * s, (x,), bwd)
 
 
+def _mask_and_multiply(a, b, mask, out):
+    np.greater(b, 0, out=mask)
+    np.multiply(a, mask, out=out)
+
+
+def _times_positive(a, b):
+    """a * (b > 0) for arrays of one shape, -0.0 for negative a included.
+
+    The mask is allocated before the product, as the plain expression does.
+    """
+    mask = np.empty(b.shape, bool)
+    return _rows(_mask_and_multiply, np.empty(a.shape, np.result_type(a, mask)), a, b, mask)
+
+
 def relu(x):
-    nx, y = x._node, x.data * (x.data > 0)
+    nx, y = x._node, _times_positive(x.data, x.data)
 
     def bwd(g):
-        nx.accumulate(g * (y > 0))  # the forward's mask: y > 0 exactly where x > 0
+        nx.accumulate(_times_positive(g, y))  # the forward's mask: y > 0 exactly where x > 0
 
     return _make(y, (x,), bwd)
 
@@ -395,9 +463,9 @@ def transpose(x, axes):
     nx, inv = x._node, tuple(np.argsort(axes))
 
     def bwd(g):
-        nx.accumulate(np.ascontiguousarray(g.transpose(inv)))
+        nx.accumulate(_contiguous(g.transpose(inv)))
 
-    return _make(np.ascontiguousarray(x.data.transpose(axes)), (x,), bwd)
+    return _make(_contiguous(x.data.transpose(axes)), (x,), bwd)
 
 
 def concat(xs, axis):

@@ -146,6 +146,76 @@ def test_row_split_gemms_keep_every_bit(op, shapes, monkeypatch, split_counts):
     _assert_same_bits_at_any_worker_count(op, arrays, monkeypatch, split_counts)
 
 
+@pytest.mark.parametrize("shapes, dtypes", [
+    ([(5, 7, 12), (5, 7, 12)], None),
+    ([(2, 36, 8, 8, 12), (2, 1, 1, 1, 12)], None),      # VideoDenoiser._add_cond
+    ([(11, 36, 12), (36, 12)], None),                   # VideoAttention.pos
+    ([(4, 6, 3), ()], None),                            # a 0-d operand
+    ([(4, 6, 3), (4, 6, 3)], (np.float64, np.float32)),
+    ([(2, 5, 6), (2, 1, 6)], None),                     # fewer rows than three workers
+    ([(1, 9, 4), (1, 9, 4)], None),                     # a batch of one splits its second axis
+])
+def test_add_splits_keep_every_bit(shapes, dtypes, monkeypatch, split_counts):
+    rng = np.random.default_rng(len(shapes[0]))
+    arrays = [_normal(rng, *s).astype(d) for s, d in zip(shapes, dtypes or (np.float32,) * 2)]
+    _assert_same_bits_at_any_worker_count(nn.add, arrays, monkeypatch, split_counts)
+
+
+def test_add_of_a_tensor_to_itself_keeps_every_bit(monkeypatch, split_counts):
+    """The grad copy in add's backward and the full-size sum in Node.accumulate split too."""
+    rng = np.random.default_rng(4)
+    _assert_same_bits_at_any_worker_count(lambda x: x + x, [_normal(rng, 7, 3, 5)],
+                                          monkeypatch, split_counts)
+
+
+def _signed_zeros_and_nans(rng, *shape):
+    x = _normal(rng, *shape)
+    flat = x.reshape(-1)
+    flat[::5], flat[1::5], flat[2::7] = -0.0, 0.0, np.nan
+    return x
+
+
+@pytest.mark.parametrize("shape", [(7, 4, 6), (2, 9, 5), (1, 10, 3)])
+def test_relu_splits_keep_every_bit(shape, monkeypatch, split_counts):
+    """-0.0, +0.0, negatives and NaN keep the bits of x * (x > 0) and g * (y > 0)."""
+    rng = np.random.default_rng(shape[0])
+    x = _signed_zeros_and_nans(rng, *shape)
+    _assert_same_bits_at_any_worker_count(nn.relu, [x], monkeypatch, split_counts)
+    y, gx = _run(nn.relu, [x], 3, monkeypatch)
+    g = np.random.default_rng(9).normal(size=shape).astype(np.float32)  # as _run draws it
+    assert y.tobytes() == (x * (x > 0)).tobytes()
+    assert gx.tobytes() == (g * (y > 0)).tobytes()
+    assert np.signbit(y[x < 0]).all() and np.isnan(y[np.isnan(x)]).all()
+
+
+@pytest.mark.parametrize("shape, axes", [
+    ((2, 5, 4, 3, 6), (0, 2, 3, 1, 4)),   # into VideoDenoiser._temporal's (b, h, w, f, c)
+    ((2, 4, 3, 5, 6), (0, 3, 1, 2, 4)),   # and back
+    ((1, 5, 4, 3, 6), (0, 2, 3, 1, 4)),   # a batch of one
+    ((2, 6, 5), (2, 0, 1)),               # fewer rows than three workers
+])
+def test_transpose_splits_keep_every_bit(shape, axes, monkeypatch, split_counts):
+    rng = np.random.default_rng(len(shape))
+    _assert_same_bits_at_any_worker_count(lambda x: nn.transpose(x, axes), [_normal(rng, *shape)],
+                                          monkeypatch, split_counts)
+
+
+@pytest.mark.parametrize("b", [1, 2])
+def test_elementwise_splits_at_the_denoiser_size(b, monkeypatch, split_counts):
+    """The denoiser's 64x64 level at the real threshold: its conditioning add, relu and temporal transposes."""
+    monkeypatch.setattr(nn, "_SPLIT_MIN_SIZE", 2 ** 16)
+    f, c = 36, 12
+
+    def level(h, cond):
+        h = nn.relu(h.reshape(b, f, 64, 64, c) + cond.reshape(b, 1, 1, 1, c))
+        t = nn.transpose(h, (0, 2, 3, 1, 4))
+        return nn.transpose(t, (0, 3, 1, 2, 4)) + h
+
+    rng = np.random.default_rng(b)
+    arrays = [_normal(rng, b * f, 64, 64, c), _normal(rng, b, c)]
+    _assert_same_bits_at_any_worker_count(level, arrays, monkeypatch, split_counts)
+
+
 def test_splits_keep_every_bit_under_frequent_thread_switches(monkeypatch, split_counts):
     """More workers than cores, with the interpreter switching threads every microsecond."""
     def block(x, w, b, gamma, beta, wq, wk, wv, wo):
