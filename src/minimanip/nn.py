@@ -27,12 +27,14 @@ The kernels of conv2d, attention, layernorm, the flat GEMMs (matmul with
 a 2-D right operand, conv1x1) and the elementwise add, relu and transpose
 split their independent rows (images, attention chunks, normalized rows,
 GEMM rows, rows of the output's first axis longer than one) over a thread
-pool; add's split covers its broadcasts, its backward's grad copy and the
-grad sums of Node.accumulate, relu's its forward and backward. When the
-first of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS that is
-set is "1", the pool has one worker per core the process may run on;
-otherwise BLAS threads by itself and the pool has one worker, the calling
-thread. Ops under _SPLIT_MIN_SIZE elements stay serial. A split never
+pool; add's split covers its broadcasts and the grad sums of
+Node.accumulate, relu's its forward and backward. This module owns the
+process's thread set-up: importing it sets numpy's OpenBLAS to one thread
+through OpenBLAS's own setter, whatever the environment asks for, and the
+pool then has one worker per core the process may run on. A BLAS with no
+such setter (MKL, Accelerate) is left to thread by itself, and there the
+pool has one worker, the calling thread. Ops under _SPLIT_MIN_SIZE
+elements stay serial. A split never
 reorders the arithmetic of a row, so outputs and grads have the same bits
 for any worker count. Reductions over rows (weight, bias, gamma and beta
 grads, add's unbroadcast sums) are never split by rows: conv2d's weight
@@ -46,6 +48,7 @@ Everything is deterministic given a seeded numpy Generator.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 import os
 
@@ -67,8 +70,10 @@ class Node:
         self.grad = None
 
     def accumulate(self, g):
-        # Stored by reference; backward fns that pass one array to two parents
-        # copy for the second (see add), so in-place accumulation is safe.
+        # Stored by reference, so one array may be the grad of several Nodes
+        # (add hands g on whole to both parents). That is safe because no grad
+        # is written in place: sums are out of place, and every backward writes
+        # only into arrays it allocated itself.
         if self.grad is None:
             self.grad = g
         else:
@@ -233,19 +238,10 @@ def _saved(a, needed):
 # worker runs numpy only: it never calls an op, the tape or the pool, and it
 # writes into arrays that the calling thread allocated.
 
-# The variables through which a BLAS library is told its thread count, in the
-# order OpenBLAS reads them: the first one set wins.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _worker_count(environ, cpus):
-    """Workers for the op kernels: one per allowed core if BLAS is pinned to one thread, else 1.
-
-    A BLAS that threads already uses the cores, and ops split on top of it
-    ran slower than serial ones.
-    """
-    threads = next((environ[var] for var in _BLAS_THREAD_VARS if var in environ), None)
-    return max(1, len(cpus)) if threads == "1" else 1
+# OpenBLAS's own thread-count setters, as the numpy 2.x wheels, the numpy
+# 1.24-1.26 wheels and distro builds name them: the first one found is called.
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                 "openblas_set_num_threads")
 
 
 def _allowed_cpus():
@@ -255,7 +251,31 @@ def _allowed_cpus():
         return range(os.cpu_count() or 1)
 
 
-_WORKERS = _worker_count(os.environ, _allowed_cpus())
+def _numpy_blas():
+    """numpy's linalg extension, opened so that its BLAS's symbols can be looked up, or None."""
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+
+
+def _pin_blas(blas):
+    """Set blas to one thread through its own setter, and return the op pool's worker count.
+
+    One worker per allowed core once BLAS is on one thread. A BLAS with no
+    setter found (MKL, Accelerate) threads by itself, and ops split on top
+    of it ran slower than serial ones, so there the pool has one worker.
+    """
+    for name in _BLAS_SETTERS:
+        setter = getattr(blas, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return max(1, len(_allowed_cpus()))
+    return 1
+
+
+_WORKERS = _pin_blas(_numpy_blas())
 
 # Ops that touch fewer elements than this stay in the calling thread: a
 # split costs tens of microseconds. That keeps the miniature test models and
@@ -364,14 +384,9 @@ def _copyto(src, out):
     np.copyto(out, src)
 
 
-def _copy(a):
-    """A C-contiguous copy of a."""
-    return _rows(_copyto, np.empty(a.shape, a.dtype), a)
-
-
 def _contiguous(a):
     """a if it is C-contiguous, else a C-contiguous copy, as np.ascontiguousarray."""
-    return a if a.flags.c_contiguous else _copy(a)
+    return a if a.flags.c_contiguous else _rows(_copyto, np.empty(a.shape, a.dtype), a)
 
 
 def add(a, b):
@@ -382,8 +397,6 @@ def add(a, b):
     def bwd(g):
         ga = _unbroadcast(g, a_shape) if na is not None else None
         gb = _unbroadcast(g, b_shape) if nb is not None else None
-        if ga is not None and gb is not None and ga is gb:
-            gb = _copy(gb)
         if ga is not None:
             na.accumulate(ga)
         if gb is not None:
@@ -502,7 +515,9 @@ def sum_(x, axis=None):
 
     def bwd(g):
         ge = g if axis is None else np.expand_dims(g, axis)
-        nx.accumulate(np.broadcast_to(ge, shape).astype(dtype, copy=True))
+        # in C order: over an inner axis order "K" gives a strided grad, and a
+        # GEMM that reads it rounds otherwise than on a C-contiguous one
+        nx.accumulate(np.broadcast_to(ge, shape).astype(dtype, order="C"))
 
     return _make(x.data.sum(axis=axis), (x,), bwd)
 
@@ -907,9 +922,7 @@ def conv2d(x, w, b, stride=1, pad=1):
         flat = np.empty(rows * c, dtype=x.dtype)  # the serial loop's (rows, c) buffer, shared out
         if nw is not None:
             xp2 = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
-            if nw.grad is None:
-                nw.grad = np.zeros(w.shape, dtype=w.dtype)
-            gw = nw.grad
+            gw = np.zeros(w.shape, dtype=w.dtype)
 
             parts = _split(len(taps), g.size)
             # made here, not in the workers: what a pool thread frees stays in its own malloc arena
@@ -923,6 +936,7 @@ def conv2d(x, w, b, stride=1, pad=1):
 
             _parallel(parts, weight_grad)
             del bufs
+            nw.accumulate(gw)
         if nx is None:
             return
         gx = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype)

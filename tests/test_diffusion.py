@@ -200,17 +200,21 @@ def test_train_dvg_determinism_and_batch_mean():
 
 
 def test_train_dvg_bits_are_pinned():
-    """The tiny run's loss log and final parameters, bit for bit, with BLAS on one thread.
+    """The tiny run's loss log and final parameters, bit for bit, whatever the environment asks of BLAS.
 
     Recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64. A BLAS that threads
-    sums some GEMMs in another order, so the run gets a process of its own
-    with BLAS pinned. The op pool is forced to 1, 2 and 3 workers, whatever
-    cores the machine allows, and every count gives the serial loop's bits.
+    sums some GEMMs in another order; importing nn sets BLAS to one thread, so
+    the run gives the same bits with none of the BLAS thread variables set and
+    with OPENBLAS_NUM_THREADS=2. Each run gets a process of its own, and the op
+    pool is forced to 1, 2 and 3 workers, whatever cores the machine allows:
+    every count gives the serial loop's bits.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(dvg.__file__)))
-    one = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    for workers in (1, 2, 3):
-        script = f"""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    for blas in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        for workers in (1, 2, 3):
+            script = f"""
 import importlib.util
 from minimanip import nn
 nn._WORKERS = {workers}
@@ -220,11 +224,11 @@ spec.loader.exec_module(tests)
 model, log = tests._tiny_dvg_run()
 print(*(v.hex() for v in log), tests._param_digest(model))
 """
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, **one, "PYTHONPATH": src}, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0x1.124b840000000p+0", "0x1.0bcb280000000p+0",
-                                       "0x1.20f09c0000000p+0", "ce2c1ed1b9f4029e"], workers
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  env={**base, **blas, "PYTHONPATH": src}, timeout=300)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.split() == ["0x1.124b840000000p+0", "0x1.0bcb280000000p+0",
+                                           "0x1.20f09c0000000p+0", "ce2c1ed1b9f4029e"], (blas, workers)
 
 
 def test_gradcheck_miniature_denoiser():

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def test_add_splits_keep_every_bit(shapes, dtypes, monkeypatch, split_counts):
 
 
 def test_add_of_a_tensor_to_itself_keeps_every_bit(monkeypatch, split_counts):
-    """The grad copy in add's backward and the full-size sum in Node.accumulate split too."""
+    """Both parents get add's grad whole; the full-size sum in Node.accumulate splits too."""
     rng = np.random.default_rng(4)
     _assert_same_bits_at_any_worker_count(lambda x: x + x, [_normal(rng, 7, 3, 5)],
                                           monkeypatch, split_counts)
@@ -236,32 +237,71 @@ def test_splits_keep_every_bit_under_frequent_thread_switches(monkeypatch, split
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("environ, cpus, workers", [
-    ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 2),
-    ({"OMP_NUM_THREADS": "1"}, {0, 1, 2}, 3),
-    ({"MKL_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "4"}, {0, 1}, 1),  # OpenBLAS reads its own first
-    ({"OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}, {0, 1}, 1),
-    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, {0, 1}, 2),
-    ({"OPENBLAS_NUM_THREADS": "1"}, {3}, 1),    # an affinity mask of one core
-    ({"OPENBLAS_NUM_THREADS": "2"}, {0, 1}, 1),
-    ({}, {0, 1}, 1),                            # BLAS picks its own thread count
-])
-def test_worker_count_rule(environ, cpus, workers):
-    """One worker per allowed core when BLAS is pinned to one thread, else one."""
-    assert nn._worker_count(environ, cpus) == workers
+def _env(src, **blas):
+    """The environment without the BLAS thread variables, plus blas and PYTHONPATH=src."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return {**env, **blas, "PYTHONPATH": src}
+
+
+def _numpy_uses_openblas():
+    try:
+        return "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy too old to report its build as a dict
+        return False
+
+
+def test_import_sets_blas_to_one_thread():
+    """Importing nn leaves BLAS on one thread and the pool one worker per allowed core.
+
+    Checked with none of the BLAS thread variables set and with
+    OPENBLAS_NUM_THREADS=2, which OpenBLAS reads when it loads; BLAS reports
+    its count through the getter that matches nn's setter.
+    """
+    script = ("import os\n"
+              "from minimanip import nn\n"
+              "blas = nn._numpy_blas()\n"
+              "getters = [getattr(blas, name.replace('_set_', '_get_'), None) for name in nn._BLAS_SETTERS]\n"
+              "getter = next((g for g in getters if g is not None), None)\n"
+              "if getter is None:  # a BLAS nn cannot set keeps the pool at one worker\n"
+              "    assert nn._WORKERS == 1, nn._WORKERS\n"
+              "else:\n"
+              "    assert getter() == 1, getter()\n"
+              "    assert nn._WORKERS == len(os.sched_getaffinity(0)), nn._WORKERS\n"
+              "print('getter' if getter else 'none')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nn.__file__)))
+    for blas in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=_env(src, **blas), timeout=120)
+        assert done.returncode == 0, (blas, done.stderr)
+        if _numpy_uses_openblas():
+            assert done.stdout.split() == ["getter"], blas
+
+
+def test_a_blas_without_a_setter_keeps_one_worker(monkeypatch):
+    """A BLAS with no setter nn knows (MKL, Accelerate) threads by itself: the pool gets one worker."""
+    monkeypatch.setattr(nn, "_allowed_cpus", lambda: {0, 1, 2})
+    assert nn._pin_blas(types.SimpleNamespace()) == 1
+    assert nn._pin_blas(None) == 1  # numpy's BLAS could not be opened
+    calls = []
+
+    def openblas_set_num_threads(n):  # a distro build's name
+        calls.append(n)
+
+    distro = types.SimpleNamespace(openblas_set_num_threads=openblas_set_num_threads)
+    assert nn._pin_blas(distro) == 3 and calls == [1]
 
 
 def test_import_starts_no_thread():
-    """With BLAS pinned, so that the pool is on, importing every module starts no thread."""
+    """Importing every module starts no thread: the pool starts on the first split."""
     script = ("import sys, threading\n"
               "import minimanip.cli, minimanip.pipeline\n"
               "from minimanip import nn\n"
               "assert nn._pool is None and 'concurrent.futures' not in sys.modules\n"
               "assert threading.active_count() == 1, threading.enumerate()\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(nn.__file__)))
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=_env(src), timeout=120)
     assert done.returncode == 0, done.stderr
 
 
