@@ -81,11 +81,11 @@ def _cmd_sample(args):
 
 
 def _cmd_train_idm(args):
-    from . import data, storage
+    from . import data, pipeline, storage
     from . import inverse_dynamics as idm
     split = data.fold_split(args.fold)
     trajs = _load_trajs(args.data, task_ids=set(split.few_shot))
-    cfg = idm.IdmConfig(seed=args.seed, window=args.window)
+    cfg = idm.IdmConfig(steps=pipeline.CrossvalConfig().idm_steps, seed=args.seed, window=args.window)
     model, log = idm.train_idm(idm.pack_video_windows(trajs), cfg)
     storage.save_model(args.out, model, "idm",
                        {"d": model.d, "window": model.window},
@@ -117,11 +117,12 @@ def _cmd_idm_study(args):
 
 
 def _cmd_train_policy(args):
-    from . import data, policies, storage
+    from . import data, pipeline, policies, storage
     split = data.fold_split(args.fold)
     trajs = _load_trajs(args.data, task_ids=set(split.few_shot))
     eps = policies.episodes_from_trajectories(trajs)
-    cfg = policies.BCConfig(steps=args.steps, seed=args.seed)
+    steps = pipeline.CrossvalConfig().bc_steps(args.arch) if args.steps is None else args.steps
+    cfg = policies.BCConfig(steps=steps, seed=args.seed)
     model, log = policies.train_policy(args.arch, eps, cfg)
     storage.save_model(args.out, model, args.arch,
                        {"d": cfg.d, "blocks": cfg.blocks} | ({"history": model.history} if args.arch == "rt1" else {}),
@@ -134,9 +135,6 @@ def _cmd_eval(args):
     model, _ = storage.load_model(args.ckpt)
     (rate,) = policies.rollout_eval(model, [args.task], episodes=args.episodes, seed=args.seed).values()
     print(f"{args.task}: accomplishment rate {rate:.3f} over {args.episodes} episodes")
-
-
-_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _parse_config_file(path):
@@ -154,17 +152,11 @@ def _parse_config_file(path):
 
 
 def _config_value(key, typ, v):
-    """Parse one config value by its type name: int, float, bool or str."""
+    """Parse one config value by its type name: int or float."""
     try:
-        if typ == "int":
-            return int(v)
-        if typ == "float":
-            return float(v)
-        if typ == "bool":
-            return _BOOLS[v.lower()]
-    except (KeyError, ValueError):
+        return int(v) if typ == "int" else float(v)
+    except ValueError:
         raise SystemExit(f"config key {key}: {v!r} is not a valid {typ}") from None
-    return v
 
 
 def _cmd_crossval(args):
@@ -180,7 +172,10 @@ def _cmd_crossval(args):
                 kw[k] = tuple(_config_value(k, elem, x.strip()) for x in v.split(","))
             else:
                 kw[k] = _config_value(k, fields[k].type, v)
-    cfg = pipeline.CrossvalConfig(**kw)
+    try:
+        cfg = pipeline.CrossvalConfig(**kw)
+    except ValueError as e:
+        raise SystemExit(str(e)) from None
     reports, quality = pipeline.run_crossval(cfg, out_dir=args.out)
     print(pipeline.summarize(reports))
 
@@ -200,7 +195,8 @@ def _cmd_report(args):
 
 
 def main(argv=None):
-    from . import data, env
+    from . import data, env, pipeline
+    budgets = pipeline.CrossvalConfig()  # the stage commands default to the experiment's budgets
     ap = argparse.ArgumentParser(prog="minimanip", description="Desk-scale skill learning from generated demonstration videos.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -210,8 +206,8 @@ def main(argv=None):
 
     p = sub.add_parser("collect", help="collect scripted-expert episodes")
     p.add_argument("--task", required=True)
-    p.add_argument("--episodes", type=int, default=20)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--episodes", type=int, default=budgets.n_expert_episodes)
+    p.add_argument("--epsilon", type=float, default=budgets.collect_epsilon)
     p.add_argument("--max-steps", type=int, default=env.MAX_STEPS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -229,7 +225,7 @@ def main(argv=None):
     p = sub.add_parser("train-dvg", help="train the video generator on a fold")
     p.add_argument("--fold", type=int, required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--steps", type=int, default=800)
+    p.add_argument("--steps", type=int, default=budgets.dvg_steps)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_train_dvg)
@@ -239,7 +235,7 @@ def main(argv=None):
     p.add_argument("--task", required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--T", type=int, default=32)
+    p.add_argument("--T", type=int, default=budgets.sample_T)
     p.add_argument("--kind", default="cosine")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_sample)
@@ -266,10 +262,11 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_idm_study)
 
     p = sub.add_parser("train-policy", help="behavior-clone a policy")
-    p.add_argument("--arch", choices=("lcbc", "rt1"), required=True)
+    p.add_argument("--arch", choices=pipeline.ARCHITECTURES, required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--fold", type=int, default=1)
-    p.add_argument("--steps", type=int, default=2500)
+    p.add_argument("--steps", type=int, help="default by --arch: " + ", ".join(
+        f"{arch} {budgets.bc_steps(arch)}" for arch in pipeline.ARCHITECTURES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_train_policy)
@@ -277,7 +274,7 @@ def main(argv=None):
     p = sub.add_parser("eval", help="closed-loop accomplishment rate")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--task", required=True)
-    p.add_argument("--episodes", type=int, default=50)
+    p.add_argument("--episodes", type=int, default=budgets.eval_episodes)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_eval)
 

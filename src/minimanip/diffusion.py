@@ -235,7 +235,6 @@ class DvgConfig:
     batch: int = 2
     seed: int = 0
     T: int = 200
-    kind: str = "cosine"
     channels: tuple = (12, 24, 48)
 
 
@@ -268,7 +267,7 @@ def train_dvg(items, config=None, hook=None):
     n = len(videos)
     rng = np.random.default_rng(cfg.seed)
     model = VideoDenoiser(np.random.default_rng(cfg.seed + 1), channels=cfg.channels)
-    sched = build_schedule(cfg.T, cfg.kind)
+    sched = build_schedule(cfg.T)
     opt = nn.Adam(model.params(), lr=2e-3, clip=1.0)
     log = []
     for it in range(cfg.steps):

@@ -152,31 +152,16 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
         return mul(self, other)
 
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
 
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes)
 
 
 def _as_tensor(x, like=None):
@@ -578,21 +563,22 @@ def matmul(a, b):
 
 # -- softmax / attention / losses -----------------------------------------
 
-def _softmax_inplace(y, axis=-1):
-    """Overwrite y with its softmax along axis; returns y."""
-    y -= y.max(axis=axis, keepdims=True)
+def _softmax_inplace(y):
+    """Overwrite y with its softmax along the last axis; returns y."""
+    y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= y.sum(axis=-1, keepdims=True)
     return y
 
 
-def softmax(x, axis=-1):
-    y = _softmax_inplace(x.data.copy(), axis)
+def softmax(x):
+    """Softmax along the last axis."""
+    y = _softmax_inplace(x.data.copy())
     nx = x._node
 
     def bwd(g):
         gy = g * y
-        gy -= y * gy.sum(axis=axis, keepdims=True)
+        gy -= y * gy.sum(axis=-1, keepdims=True)
         nx.accumulate(gy)
 
     return _make(y, (x,), bwd)
@@ -840,8 +826,8 @@ def conv1x1(x, w, b):
 _CONV_BLOCK_BYTES = 2 ** 19
 
 
-def conv2d(x, w, b, stride=1, pad=1):
-    """x (N,H,W,C), w (kh,kw,C,O), b (O,) -> (N,Ho,Wo,O).
+def conv2d(x, w, b, stride=1):
+    """x (N,H,W,C), w (kh,kw,C,O), b (O,) -> (N,Ho,Wo,O), zero-padded by kh // 2 on every side.
 
     Computed as a sum of kh*kw shifted GEMMs rather than im2col: traffic stays
     proportional to the tensor size instead of kh*kw times it. The forward
@@ -859,6 +845,7 @@ def conv2d(x, w, b, stride=1, pad=1):
     inputs, nx, nw, nb = (x, w, b), x._node, w._node, b._node
     x, w = x.data, w.data
     n, h, wd, _ = x.shape
+    pad = kh // 2
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wd + 2 * pad - kw) // stride + 1
     rows, hw = n * ho * wo, ho * wo
@@ -1018,10 +1005,6 @@ class Module:
                         out.update(item.params(prefix=f"{key}.{i}."))
         return out
 
-    def zero_grad(self):
-        for p in self.params().values():
-            p.grad = None
-
     def astype(self, dtype):
         """Cast every parameter to dtype in place (models are built float32)."""
         for p in self.params().values():
@@ -1060,10 +1043,9 @@ class Conv2d(Module):
         self.w = Param(rng.normal(0.0, s, size=(k, k, c_in, c_out)).astype(np.float32))
         self.b = Param(np.zeros(c_out, dtype=np.float32))
         self.stride = stride
-        self.pad = k // 2
 
     def __call__(self, x):
-        return conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad)
+        return conv2d(x, self.w, self.b, stride=self.stride)
 
 
 class UpBlock(Module):

@@ -212,6 +212,11 @@ def quality_report(demo_sets):
 # Cross-validation experiment
 # ---------------------------------------------------------------------------
 
+# A policy passes a task family when its accomplishment rate reaches this.
+PASS_THRESHOLD = 0.5
+ARCHITECTURES = ("lcbc", "rt1")
+
+
 @dataclass
 class CrossvalConfig:
     seed: int = 0
@@ -220,20 +225,31 @@ class CrossvalConfig:
     collect_epsilon: float = 0.1
     dvg_steps: int = 800
     dvg_batch: int = 2
-    dvg_channels: tuple = (12, 24, 48)
     dvg_T: int = 200
     sample_T: int = 32
-    schedule_kind: str = "cosine"
     idm_steps: int = 1500
     policy_steps: int = 2500
     rt1_steps: int = 1600
     eval_episodes: int = 50
-    pass_threshold: float = 0.5
-    use_filter: bool = True
-    mixed_data: bool = False
-    sample_batch: int = 8
-    architectures: tuple = ("lcbc", "rt1")
     folds: tuple = (1, 2)
+    dvg_channels = diffusion.DvgConfig.channels  # not a setting: the DVG widths, read by perfbench
+
+    def __post_init__(self):
+        """Reject, naming the key, values that would fail only minutes into a run."""
+        def check(key, ok, need):
+            if not ok:
+                raise ValueError(f"config key {key}: {getattr(self, key)!r} {need}")
+
+        check("folds", len(self.folds) > 0 and set(self.folds) <= {1, 2}, "must list folds 1 and/or 2")
+        for key in ("n_expert_episodes", "n_demos", "eval_episodes", "dvg_steps", "dvg_batch",
+                    "idm_steps", "policy_steps", "rt1_steps"):
+            check(key, getattr(self, key) >= 1, "must be >= 1")
+        for key in ("dvg_T", "sample_T"):
+            check(key, getattr(self, key) >= 2, "must be >= 2")
+
+    def bc_steps(self, arch):
+        """Behavior-cloning steps for one of ARCHITECTURES."""
+        return {"lcbc": self.policy_steps, "rt1": self.rt1_steps}[arch]
 
     def hash(self):
         return storage.config_hash(asdict(self))
@@ -250,11 +266,11 @@ class ExperimentReport:
     passes: dict                    # setting -> {family: bool}
 
 
-def _report(fold, arm, arch, rates, cfg):
+def _report(fold, arm, arch, rates):
     split = data.fold_split(fold)
     passes = {}
     for setting in ("few_shot", "zero_shot"):
-        passes[setting] = {env.get_task(tid).family: bool(rates[tid] >= cfg.pass_threshold)
+        passes[setting] = {env.get_task(tid).family: bool(rates[tid] >= PASS_THRESHOLD)
                            for tid in getattr(split, setting)}
     totals = {setting: f"{sum(p.values())}/{len(p)}" for setting, p in passes.items()}
     return ExperimentReport(fold, arm, arch, rates, totals, passes)
@@ -269,29 +285,29 @@ def train_dvg_for_fold(trajs, cfg, seed_offset=0):
         poses = prompts.PoseSequence(positions=pos, closed=clo)
         items.append((video, traj.task_id, prompts.render_pose_video(poses)))
     dcfg = diffusion.DvgConfig(steps=cfg.dvg_steps, batch=cfg.dvg_batch,
-                               seed=cfg.seed + seed_offset, T=cfg.dvg_T,
-                               kind=cfg.schedule_kind, channels=cfg.dvg_channels)
+                               seed=cfg.seed + seed_offset, T=cfg.dvg_T)
     return diffusion.train_dvg(items, dcfg)
 
 
-def _score_arm(fold, arm, episodes, cfg, log):
+def _score_arm(fold, arm, episodes, cfg, log, losses):
     """Behavior-clone every architecture on one arm's episodes and score it on all tasks.
 
     An arm without episodes scores 0 on every task. Returns one report per
-    architecture.
+    architecture, and records each trained policy's last loss in `losses`
+    under "<arm> <arch>".
     """
     if not episodes:
         log(f"[fold {fold}] no {arm} demos to train on: {arm} arm rates are 0")
     reports = []
-    for arch in cfg.architectures:
+    for arch in ARCHITECTURES:
         if episodes:
-            steps = cfg.policy_steps if arch == "lcbc" else cfg.rt1_steps
-            model, _ = pol_mod.train_policy(arch, episodes,
-                                            pol_mod.BCConfig(steps=steps, seed=cfg.seed + fold))
+            model, loss_log = pol_mod.train_policy(
+                arch, episodes, pol_mod.BCConfig(steps=cfg.bc_steps(arch), seed=cfg.seed + fold))
+            losses[f"{arm} {arch}"] = loss_log[-1]
             rates = pol_mod.rollout_eval(model, env.TASK_IDS, cfg.eval_episodes, cfg.seed + fold)
         else:
             rates = dict.fromkeys(env.TASK_IDS, 0.0)
-        reports.append(_report(fold, arm, arch, rates, cfg))
+        reports.append(_report(fold, arm, arch, rates))
         log(f"[fold {fold}] {arm} {arch}: few {reports[-1].totals['few_shot']} "
             f"zero {reports[-1].totals['zero_shot']}")
     return reports
@@ -302,10 +318,11 @@ def run_crossval(cfg=None, out_dir=None, log=print):
 
     Fold hygiene: the generated arm's video and labeling models see only the
     fold's few-shot expert data; zero-shot tasks enter as text + planned
-    poses only.
+    poses only. The generated arm trains on the demos the filter keeps.
     """
     cfg = cfg or CrossvalConfig()
     reports, demo_sets = [], {"few_shot": [], "zero_shot": []}
+    losses = {}  # fold -> the last training loss of each model the fold trained
     chash = cfg.hash()
 
     # consistency-proxy classifier: an evaluation artifact, trained once on
@@ -320,6 +337,7 @@ def run_crossval(cfg=None, out_dir=None, log=print):
 
     for fold in cfg.folds:
         split = data.fold_split(fold)
+        fold_losses = losses[fold] = {}
         expert_trajs = []
         for tid in split.few_shot:
             expert_trajs.extend(data.collect(
@@ -328,23 +346,23 @@ def run_crossval(cfg=None, out_dir=None, log=print):
         log(f"[fold {fold}] collected {len(expert_trajs)} expert episodes")
 
         expert_eps = pol_mod.episodes_from_trajectories(expert_trajs)
-        reports.extend(_score_arm(fold, "expert", expert_eps, cfg, log))
+        reports.extend(_score_arm(fold, "expert", expert_eps, cfg, log, fold_losses))
 
         # generated arm: DVG + IDM trained on few-shot data only
-        dvg, _ = train_dvg_for_fold(expert_trajs, cfg, seed_offset=fold)
+        dvg, dvg_log = train_dvg_for_fold(expert_trajs, cfg, seed_offset=fold)
         log(f"[fold {fold}] video model trained")
-        idm_model, _ = idm_mod.train_idm(
+        idm_model, idm_log = idm_mod.train_idm(
             idm_mod.pack_video_windows(expert_trajs),
             idm_mod.IdmConfig(steps=cfg.idm_steps, seed=cfg.seed + fold))
         log(f"[fold {fold}] action labeler trained")
+        fold_losses.update(dvg=dvg_log[-1], idm=idm_log[-1])
 
-        schedule = diffusion.build_schedule(cfg.sample_T, cfg.schedule_kind)
+        schedule = diffusion.build_schedule(cfg.sample_T)
         all_demos = []
         for tid in env.TASK_IDS:
             demos = generate_demonstrations(
                 tid, cfg.n_demos, dvg, idm_model, schedule,
-                seed=cfg.seed * 100 + fold, batch=cfg.sample_batch,
-                classifier=classifier)
+                seed=cfg.seed * 100 + fold, classifier=classifier)
             all_demos.extend(demos)
             setting = "few_shot" if tid in split.few_shot else "zero_shot"
             demo_sets[setting].extend(demos)
@@ -355,16 +373,13 @@ def run_crossval(cfg=None, out_dir=None, log=print):
         log(f"[fold {fold}] kept/total per task: " + ", ".join(
             f"{tid} {kept_ids.count(tid)}/{all_ids.count(tid)}" for tid in env.TASK_IDS))
 
-        train_demos = kept if cfg.use_filter else all_demos
-        gen_eps = demos_to_episodes(train_demos)
-        if cfg.mixed_data:
-            gen_eps = gen_eps + expert_eps
-        reports.extend(_score_arm(fold, "generated", gen_eps, cfg, log))
+        reports.extend(_score_arm(fold, "generated", demos_to_episodes(kept), cfg, log,
+                                  fold_losses))
 
     quality = quality_report(demo_sets)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        write_reports(out_dir, reports, quality, cfg)
+        write_reports(out_dir, reports, quality, cfg, losses)
     return reports, quality
 
 
@@ -391,10 +406,14 @@ def summarize(reports):
     return "\n".join(lines)
 
 
-def write_reports(out_dir, reports, quality, cfg):
-    """report.json, the record of the run, and its two views rates.csv and summary.txt."""
+def write_reports(out_dir, reports, quality, cfg, final_losses):
+    """report.json, the record of the run, and its two views rates.csv and summary.txt.
+
+    final_losses maps each fold to the last training loss of its DVG
+    ("dvg"), its IDM ("idm") and each policy it trained ("<arm> <arch>").
+    """
     payload = {"config_hash": cfg.hash(), "config": asdict(cfg), "quality": quality,
-               "reports": [asdict(r) for r in reports]}
+               "final_losses": final_losses, "reports": [asdict(r) for r in reports]}
     storage.save_text(os.path.join(out_dir, "rates.csv"), reports_to_csv(reports))
     storage.save_text(os.path.join(out_dir, "summary.txt"), summarize(reports) + "\n")
     storage.save_text(os.path.join(out_dir, "report.json"), json.dumps(payload, indent=2, default=str))

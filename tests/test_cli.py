@@ -118,16 +118,28 @@ def test_report_names_an_unreadable_report(tmp_path, content):
 
 
 @pytest.mark.parametrize("line,message", [
-    ("use_filter=flase", "config key use_filter: 'flase' is not a valid bool"),
     ("n_demos=ten", "config key n_demos: 'ten' is not a valid int"),
-    ("pass_threshold=half", "config key pass_threshold: 'half' is not a valid float"),
-    ("mixed_data", "cfg.txt:2: expected key=value, got 'mixed_data'"),
+    ("collect_epsilon=half", "config key collect_epsilon: 'half' is not a valid float"),
+    ("collect_epsilon", "cfg.txt:2: expected key=value, got 'collect_epsilon'"),
     ("dvg_stepz=3", "unknown config key: dvg_stepz"),
     ("folds=1,x", "config key folds: 'x' is not a valid int"),
-    ("dvg_channels=12, 24, 4.8", "config key dvg_channels: '4.8' is not a valid int"),
-    ("dvg_channels=12, 24, 48", "dvg_channels=(12, 24, 48),"),
-], ids=["bool", "int", "float", "no-equals", "unknown-key", "tuple-item", "tuple-item-float",
-        "tuple-accepted"])
+    ("folds=1, 2.5", "config key folds: '2.5' is not a valid int"),
+    ("folds=2, 1", "folds=(2, 1))"),
+    ("folds=1,3", "config key folds: (1, 3) must list folds 1 and/or 2"),
+    ("n_expert_episodes=0", "config key n_expert_episodes: 0 must be >= 1"),
+    ("dvg_T=1", "config key dvg_T: 1 must be >= 2"),
+    ("sample_T=0", "config key sample_T: 0 must be >= 2"),
+    ("n_demos=0", "config key n_demos: 0 must be >= 1"),
+    ("eval_episodes=-1", "config key eval_episodes: -1 must be >= 1"),
+    ("dvg_steps=0", "config key dvg_steps: 0 must be >= 1"),
+    ("dvg_batch=0", "config key dvg_batch: 0 must be >= 1"),
+    ("idm_steps=0", "config key idm_steps: 0 must be >= 1"),
+    ("policy_steps=0", "config key policy_steps: 0 must be >= 1"),
+    ("rt1_steps=0", "config key rt1_steps: 0 must be >= 1"),
+], ids=["int", "float", "no-equals", "unknown-key", "tuple-item", "tuple-item-float",
+        "tuple-accepted", "folds", "n_expert_episodes", "dvg_T", "sample_T",
+        "n_demos", "eval_episodes", "dvg_steps", "dvg_batch", "idm_steps", "policy_steps",
+        "rt1_steps"])
 def test_crossval_config_errors_name_the_key(tmp_path, monkeypatch, line, message):
     def run_crossval(config, **kwargs):  # a config that parses must not start a run here
         raise SystemExit(f"config accepted: {config}")
@@ -141,11 +153,48 @@ def test_crossval_config_errors_name_the_key(tmp_path, monkeypatch, line, messag
 
 
 def test_readme_lists_every_config_key():
+    """The README lists exactly the CrossvalConfig fields, in their order."""
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    listed = readme.split("The crossval config file", 1)[1].split("\n\n", 1)[0]
-    assert [k for k in pipeline.CrossvalConfig.__dataclass_fields__ if f"`{k}`" not in listed] == []
+    listed = readme.split("The crossval config file", 1)[1].split("`pipeline.CrossvalConfig`:", 1)[1]
+    listed = listed.split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", listed) == list(pipeline.CrossvalConfig.__dataclass_fields__)
 
 
-@pytest.mark.parametrize("value,expect", [("1", True), ("Yes", True), ("false", False), ("no", False)])
-def test_config_bool_values(value, expect):
-    assert cli._config_value("use_filter", "bool", value) is expect
+class _Received(Exception):
+    """Raised by a stubbed stage function: args holds the (args, kwargs) the command passed it."""
+
+
+def _receive(*args, **kwargs):
+    raise _Received(args, kwargs)
+
+
+_FOLD_DATA = ["--fold", "1", "--data", "episodes", "--out", "out"]
+
+
+@pytest.mark.parametrize("argv,stage,budget,field", [
+    (["collect", "--task", "reach", "--out", "out"], (data, "collect"),
+     lambda a, k: k["n_episodes"], "n_expert_episodes"),
+    (["collect", "--task", "reach", "--out", "out"], (data, "collect"),
+     lambda a, k: k["epsilon"], "collect_epsilon"),
+    (["train-dvg", *_FOLD_DATA], (pipeline, "train_dvg_for_fold"), lambda a, k: a[1].dvg_steps, "dvg_steps"),
+    (["train-idm", *_FOLD_DATA], (idm, "train_idm"), lambda a, k: a[1].steps, "idm_steps"),
+    (["train-policy", "--arch", "lcbc", *_FOLD_DATA], (policies, "train_policy"),
+     lambda a, k: a[2].steps, "policy_steps"),
+    (["train-policy", "--arch", "rt1", *_FOLD_DATA], (policies, "train_policy"),
+     lambda a, k: a[2].steps, "rt1_steps"),
+    (["sample", "--ckpt", "dvg.ckpt", "--task", "reach", "--out", "out"], (diffusion, "build_schedule"),
+     lambda a, k: a[0], "sample_T"),
+    (["eval", "--ckpt", "lcbc.ckpt", "--task", "reach"], (policies, "rollout_eval"),
+     lambda a, k: k["episodes"], "eval_episodes"),
+], ids=["collect-episodes", "collect-epsilon", "train-dvg", "train-idm", "train-policy-lcbc",
+        "train-policy-rt1", "sample", "eval"])
+def test_stage_defaults_are_the_crossval_budgets(monkeypatch, argv, stage, budget, field):
+    """Each stage command's default budget is the one run_crossval gives that stage."""
+    monkeypatch.setattr(data, "load_dataset", lambda root, task_ids: ["trajectory"])
+    monkeypatch.setattr(idm, "pack_video_windows", lambda trajs: trajs)
+    monkeypatch.setattr(policies, "episodes_from_trajectories", lambda trajs: trajs)
+    monkeypatch.setattr(storage, "load_model", lambda path: (None, {}))
+    monkeypatch.setattr(*stage, _receive)
+    with pytest.raises(_Received) as got:
+        cli.main(argv)
+    assert budget(*got.value.args) == getattr(pipeline.CrossvalConfig(), field)

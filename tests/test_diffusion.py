@@ -246,7 +246,6 @@ def test_gradcheck_miniature_denoiser():
         feats = model.pose_features(pose)
         return nn.mse(model(v, np.array([3]), text, feats, 10), eps)
 
-    model.zero_grad()
     loss_value().backward()
     analytic = p.grad.copy()
     idx = [(0, 0), (1, 2), (2, 1)]

@@ -220,7 +220,6 @@ def test_gradcheck_miniature_idm():
     def loss_value():
         return nn.cross_entropy(model(frames), targets)
 
-    model.zero_grad()
     loss_value().backward()
     p = model.temporal[0].attn.wv
     analytic = p.grad.copy()

@@ -64,7 +64,7 @@ def test_conv2d_grad_stride():
     rng = np.random.default_rng(4)
     w = nn.Tensor(rng.normal(size=(3, 3, 2, 4)) * 0.4)
     b = nn.Tensor(rng.normal(size=4))
-    _gradcheck_input(lambda x: nn.mse(nn.conv2d(x, w, b, stride=2, pad=1), 0.0),
+    _gradcheck_input(lambda x: nn.mse(nn.conv2d(x, w, b, stride=2), 0.0),
                      rng.normal(size=(2, 6, 6, 2)))
 
 
@@ -237,7 +237,7 @@ def _composed_attention(q, k, v, causal):
     scores = nn.mul(nn.matmul(q, nn.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[-1]))
     if causal:
         scores = scores + nn.Tensor(np.triu(np.full((t, t), -1e9, dtype=q.dtype), k=1))
-    return nn.matmul(nn.softmax(scores, axis=-1), v)
+    return nn.matmul(nn.softmax(scores), v)
 
 
 def _composed_self_attention(x, wq, wk, wv, wo, causal):
@@ -383,9 +383,10 @@ def test_backward_after_no_grad_inference():
     rng = np.random.default_rng(12)
     lin = nn.Linear(3, 2, rng).astype(np.float64)
     x = rng.normal(size=(4, 3))
+    opt = nn.Adam(lin.params())
 
     def grads():
-        lin.zero_grad()
+        opt.zero_grad()
         nn.mse(lin(nn.Tensor(x)), 0.5).backward()
         return {k: p.grad.copy() for k, p in lin.params().items()}
 

@@ -90,9 +90,8 @@ def test_quality_report_arithmetic():
 
 
 def test_report_structure_and_totals():
-    cfg = pipeline.CrossvalConfig()
     rates = {tid: (1.0 if env.get_task(tid).fold == 1 else 0.0) for tid in env.TASK_IDS}
-    rep = pipeline._report(1, "expert", "lcbc", {t: np.float64(r) for t, r in rates.items()}, cfg)
+    rep = pipeline._report(1, "expert", "lcbc", {t: np.float64(r) for t, r in rates.items()})
     assert rep.totals["few_shot"] == "8/8"
     assert rep.totals["zero_shot"] == "0/8"
     assert len(rep.passes["few_shot"]) == 8
@@ -240,24 +239,27 @@ def test_astype_sets_parameter_and_forward_dtype(monkeypatch, build, forward):
         assert set(made) == {np.dtype(dtype)}
 
 
-def test_crossval_without_kept_demos_scores_generated_arm_zero(monkeypatch, tmp_path, capsys):
-    """A fold whose filter keeps no demo reports rate 0 for the generated arm and still writes its report.
+def _stubbed_crossval(monkeypatch, out_dir, final_loss):
+    """One-fold run_crossval with every trainer stubbed and a filter that keeps no demo.
 
-    `minimanip report` renders rates.csv and summary.txt from report.json alone.
+    Each stubbed trainer ends its loss log at `final_loss` (the DVG), +1 (the
+    IDM) or +2 (a policy). Returns the reports, the log lines and the
+    (arch, episode count) of each policy trained.
     """
     real_collect = data.collect
     monkeypatch.setattr(data, "collect", lambda tid, n_episodes, epsilon, seed:
                         real_collect(tid, 1, epsilon=epsilon, seed=seed))
     monkeypatch.setattr(pipeline, "train_variant_classifier", lambda videos, seed: None)
-    monkeypatch.setattr(pipeline, "train_dvg_for_fold", lambda trajs, cfg, seed_offset: (None, []))
-    monkeypatch.setattr(idm, "train_idm", lambda packed, config: (None, []))
+    monkeypatch.setattr(pipeline, "train_dvg_for_fold",
+                        lambda trajs, cfg, seed_offset: (None, [9.0, final_loss]))
+    monkeypatch.setattr(idm, "train_idm", lambda packed, config: (None, [9.0, final_loss + 1]))
     trained = []
 
     def train_policy(arch, episodes, config):
         if not episodes:
             raise ValueError("empty dataset")  # as the real trainer does
         trained.append((arch, len(episodes)))
-        return arch, []
+        return arch, [9.0, final_loss + 2]
 
     def generate(task, n_demos, *args, **kwargs):
         return [pipeline.GeneratedDemo(task, m, None, None, np.zeros((36, 64, 64, 3), np.uint8),
@@ -270,7 +272,16 @@ def test_crossval_without_kept_demos_scores_generated_arm_zero(monkeypatch, tmp_
     monkeypatch.setattr(pipeline, "generate_demonstrations", generate)
     lines = []
     cfg = pipeline.CrossvalConfig(n_expert_episodes=1, n_demos=2, folds=(1,))
-    reports, _ = pipeline.run_crossval(cfg, out_dir=str(tmp_path), log=lines.append)
+    reports, _ = pipeline.run_crossval(cfg, out_dir=str(out_dir), log=lines.append)
+    return reports, lines, trained
+
+
+def test_crossval_without_kept_demos_scores_generated_arm_zero(monkeypatch, tmp_path, capsys):
+    """A fold whose filter keeps no demo reports rate 0 for the generated arm and still writes its report.
+
+    `minimanip report` renders rates.csv and summary.txt from report.json alone.
+    """
+    reports, lines, trained = _stubbed_crossval(monkeypatch, tmp_path, 0.5)
 
     assert trained == [("lcbc", 8), ("rt1", 8)]  # the expert arm only
     generated = [r for r in reports if r.arm == "generated"]
@@ -285,7 +296,26 @@ def test_crossval_without_kept_demos_scores_generated_arm_zero(monkeypatch, tmp_
     payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert [(r["arm"], r["arch"]) for r in payload["reports"]] == [
         ("expert", "lcbc"), ("expert", "rt1"), ("generated", "lcbc"), ("generated", "rt1")]
+    assert payload["final_losses"] == {"1": {"expert lcbc": 2.5, "expert rt1": 2.5, "dvg": 0.5, "idm": 1.5}}
     capsys.readouterr()
     for fmt, view in (("csv", "rates.csv"), ("md", "summary.txt")):
         cli.main(["report", "--in", str(tmp_path), "--format", fmt])
         assert capsys.readouterr().out == (tmp_path / view).read_text(encoding="utf-8")
+
+
+def test_crossval_report_records_the_trained_models(monkeypatch, tmp_path, capsys):
+    """Runs whose models end at other losses write other reports, though every rate is the same;
+    `minimanip report` still reads a report.json written without final losses."""
+    for name, final_loss in (("a", 0.5), ("b", 0.25)):
+        _stubbed_crossval(monkeypatch, tmp_path / name, final_loss)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for view in ("rates.csv", "summary.txt"):
+        assert (a / view).read_bytes() == (b / view).read_bytes()
+    assert (a / "report.json").read_bytes() != (b / "report.json").read_bytes()
+
+    payload = json.loads((a / "report.json").read_text(encoding="utf-8"))
+    del payload["final_losses"]
+    (a / "report.json").write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    cli.main(["report", "--in", str(a), "--format", "csv"])
+    assert capsys.readouterr().out == (a / "rates.csv").read_text(encoding="utf-8")

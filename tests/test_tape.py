@@ -126,7 +126,7 @@ def op_graph():
     m = nn.transpose(t * leaves["gain"].reshape(1, 1, 4, 1), (0, 2, 1, 3))
     both = nn.concat([m, nn.silu(m)], axis=-1)      # m is read twice
     h = nn.take(both, slice(0, 3)) + nn.take(both, slice(1, 4))
-    y = nn.conv2d(h, leaves["w"], leaves["b"], stride=2, pad=1)
+    y = nn.conv2d(h, leaves["w"], leaves["b"], stride=2)
     return leaves, nn.mse(y, 0.25), kept
 
 
