@@ -16,7 +16,7 @@ from . import data, nn
 
 PATCH = 8
 N_PATCH = (64 // PATCH) ** 2
-N_CHAN = 5  # RGB + two coordinate planes
+N_CHAN = 5  # c1's input channels: RGB, then two coordinate planes (they enter as a bias map)
 
 
 def _coord_planes():
@@ -38,7 +38,14 @@ class ActionHead(nn.Linear):
 
 
 class PatchStem(nn.Module):
-    """Conv pyramid 64 -> 8 producing the 8x8 grid of patch tokens."""
+    """Conv pyramid 64 -> 8 producing the 8x8 grid of patch tokens.
+
+    The first conv sees each frame's RGB beside two fixed coordinate planes
+    (CoordConv, Liu et al., arXiv 1807.03247). Convolution is linear, so
+    the planes add the same (32, 32, 16) map to every frame's output: each
+    forward convolves them once, with the coordinate slice of `c1.w` and
+    with `c1.b`, and `c1` then runs on RGB alone with that map as its bias.
+    """
 
     def __init__(self, d, rng):
         self.c1 = nn.Conv2d(N_CHAN, 16, rng, stride=2)
@@ -50,8 +57,12 @@ class PatchStem(nn.Module):
     def __call__(self, frames):
         """frames (N, 64, 64, 3) ndarray in [-1,1], cast to the parameters' dtype -> tokens (N, 64, d)."""
         x = np.asarray(frames, dtype=self.c1.w.dtype)
-        coords = np.broadcast_to(_COORDS, x.shape[:-1] + (2,))
-        h = nn.relu(self.c1(nn.Tensor(np.concatenate([x, coords], axis=-1, dtype=x.dtype))))
+        w = self.c1.w.reshape(9, N_CHAN, 16)
+        w_rgb = nn.take(w, slice(0, 3)).reshape(3, 3, 3, 16)
+        w_xy = nn.take(w, slice(3, N_CHAN)).reshape(3, 3, 2, 16)
+        coords = nn.Tensor(np.asarray(_COORDS[None], dtype=x.dtype))
+        bias = nn.conv2d(coords, w_xy, self.c1.b, stride=2).reshape(32, 32, 16)
+        h = nn.relu(nn.conv2d(nn.Tensor(x), w_rgb, bias, stride=2))
         h = nn.relu(self.c2(h))
         h = nn.relu(self.c3(h))
         n = h.shape[0]

@@ -827,7 +827,10 @@ _CONV_BLOCK_BYTES = 2 ** 19
 
 
 def conv2d(x, w, b, stride=1):
-    """x (N,H,W,C), w (kh,kw,C,O), b (O,) -> (N,Ho,Wo,O), zero-padded by kh // 2 on every side.
+    """x (N,H,W,C), w (kh,kw,C,O), b -> (N,Ho,Wo,O), zero-padded by kh // 2 on every side.
+
+    The bias b is (O,), one value per output channel, or an (Ho,Wo,O) map
+    added to every image's output, whose grad sums over the images.
 
     Computed as a sum of kh*kw shifted GEMMs rather than im2col: traffic stays
     proportional to the tensor size instead of kh*kw times it. The forward
@@ -840,7 +843,8 @@ def conv2d(x, w, b, stride=1):
     of the unblocked serial loop.
     """
     kh, kw, c, o = w.shape
-    if kh == 1 and kw == 1 and stride == 1:
+    per_channel = b.ndim == 1
+    if kh == 1 and kw == 1 and stride == 1 and per_channel:
         return conv1x1(x, w, b)
     inputs, nx, nw, nb = (x, w, b), x._node, w._node, b._node
     x, w = x.data, w.data
@@ -876,7 +880,8 @@ def conv2d(x, w, b, stride=1):
             k = min(block, hi - first_image)
             r = k * hw
             xb, sb = xp[:k], shifted[:r]
-            yb = y[first_image:first_image + k].reshape(r, o)
+            yk = y[first_image:first_image + k]
+            yb = yk.reshape(r, o)
             ab, tb = (acc[:, :r], tmp[:, :r]) if c == 1 else (yb, tmp[:r])
             xb[:, pad:pad + h, pad:pad + wd] = x[first_image:first_image + k]
             first = True
@@ -893,7 +898,7 @@ def conv2d(x, w, b, stride=1):
                     first = False
             if c == 1:
                 yb[...] = ab.T
-            yb += bias
+            yk += bias
 
     _parallel(ranges, images)
     # the input is read back for the weight grad, the weights for the input grad
@@ -905,7 +910,7 @@ def conv2d(x, w, b, stride=1):
                         slice(j, j + stride * wo, stride), slice(None)))
                 for i in range(kh) for j in range(kw)]
         if nb is not None:
-            nb.accumulate(gmat.sum(axis=0))
+            nb.accumulate(gmat.sum(axis=0) if per_channel else g.sum(axis=0))
         flat = np.empty(rows * c, dtype=x.dtype)  # the serial loop's (rows, c) buffer, shared out
         if nw is not None:
             xp2 = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x

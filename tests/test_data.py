@@ -256,6 +256,8 @@ def test_corrupt_file_names_path(tmp_path_factory, fmt, draw):
             corrupt.append(bytes(flipped))
     bad = tmp / "bad.bin"
     for blob in corrupt:
+        # a new file each time: ext4 flushes a file that was truncated and rewritten when it is closed
+        bad.unlink(missing_ok=True)
         bad.write_bytes(blob)
         with pytest.raises(ValueError, match="bad.bin"):
             load(bad)
@@ -277,6 +279,7 @@ def test_truncated_file_names_path(tmp_path, fmt):
     raw = path.read_bytes()
     cut = tmp_path / "cut.bin"
     for size in range(len(raw)):
+        cut.unlink(missing_ok=True)  # a new file, as in test_corrupt_file_names_path
         cut.write_bytes(raw[:size])
         with pytest.raises(ValueError, match="cut.bin"):
             storage.load_arrays(cut, kind)

@@ -211,6 +211,37 @@ def test_label_video_too_short(tiny_model):
         idm.label_video(tiny_model, np.zeros((64, 64, 3), dtype=np.uint8))
 
 
+def _stem_with_concatenated_coords(stem, frames):
+    """PatchStem's forward with the coordinate planes concatenated onto every frame: one 5-channel conv."""
+    x = np.asarray(frames, dtype=stem.c1.w.dtype)
+    coords = np.broadcast_to(idm._COORDS, x.shape[:-1] + (2,))
+    h = nn.relu(stem.c1(nn.Tensor(np.concatenate([x, coords], axis=-1, dtype=x.dtype))))
+    h = nn.relu(stem.c2(h))
+    h = nn.relu(stem.c3(h))
+    return stem.embed(h.reshape(h.shape[0], idm.N_PATCH, 48)) + stem.pos
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_folded_stem_matches_concatenated_coords(dtype):
+    """The stem's output and every parameter grad are within 100 machine epsilons of the reference.
+
+    The deviation of each array is taken relative to its largest magnitude;
+    folding the planes into a bias map only reorders sums.
+    """
+    results = []
+    for forward in (_stem_with_concatenated_coords, idm.PatchStem.__call__):
+        rng = np.random.default_rng(8)
+        stem = idm.PatchStem(16, rng).astype(dtype)
+        stem.c1.b.data = (0.1 * rng.normal(size=16)).astype(dtype)  # the map's constant part shows
+        frames = rng.uniform(-1.0, 1.0, size=(6, 64, 64, 3))
+        y = forward(stem, frames)
+        y.backward(rng.normal(size=y.shape).astype(dtype))
+        results.append([y.data] + [p.grad for _, p in sorted(stem.params().items())])
+    for ref, got in zip(*results):
+        assert got.dtype == ref.dtype == dtype and got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 100 * np.finfo(dtype).eps * np.abs(ref).max()
+
+
 def test_gradcheck_miniature_idm():
     model = idm.ActionDecoder(np.random.default_rng(0), d=8, window=3, temporal_blocks=1).astype(np.float64)
     rng = np.random.default_rng(1)

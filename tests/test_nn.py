@@ -149,6 +149,29 @@ def test_blocked_conv2d_matches_unblocked_bit_for_bit(c, stride):
     assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("k, stride", [(3, 2), (1, 1)])
+def test_conv2d_bias_map_is_added_to_every_image(k, stride):
+    """With an (Ho, Wo, O) bias, the output and the grads of x, w and the map equal a zero-bias conv plus the map."""
+    rng = np.random.default_rng(16)
+    ho = 8 // stride
+    x0 = rng.normal(size=(3, 8, 8, 2)).astype(np.float32)
+    w0 = (0.4 * rng.normal(size=(k, k, 2, 5))).astype(np.float32)
+    m0 = rng.normal(size=(ho, ho, 5)).astype(np.float32)
+    g = rng.normal(size=(3, ho, ho, 5)).astype(np.float32)
+    results = []
+    for folded in (False, True):
+        x, w, m = (nn.Tensor(a.copy(), requires_grad=True) for a in (x0, w0, m0))
+        if folded:
+            y = nn.conv2d(x, w, m, stride=stride)
+        else:
+            y = nn.conv2d(x, w, nn.Tensor(np.zeros(5, dtype=np.float32)), stride=stride) + m
+        y.backward(g)
+        results.append([y.data, x.grad, w.grad, m.grad])
+    for ref, got in zip(*results):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_conv1x1_upsample2x_matches_upsampled_conv1x1_bit_for_bit():
     """The output and the grads of x, w and b equal those of conv1x1 on an np.repeat-upsampled x."""
     rng = np.random.default_rng(15)

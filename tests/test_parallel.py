@@ -87,7 +87,6 @@ def test_conv2d_splits_at_the_denoiser_size(monkeypatch, split_counts):
 @pytest.mark.parametrize("n, hw, c, o, stride", [
     (72, 64, 4, 6, 2),
     (72, 16, 8, 8, 1),
-    (192, 64, 5, 16, 2),  # PatchStem's first conv
 ])
 def test_conv2d_splits_at_real_sizes(n, hw, c, o, stride, monkeypatch, split_counts):
     """Training-batch shapes at the real threshold: every weight-grad GEMM is the serial loop's."""
@@ -96,6 +95,15 @@ def test_conv2d_splits_at_real_sizes(n, hw, c, o, stride, monkeypatch, split_cou
     arrays = [_normal(rng, n, hw, hw, c), _normal(rng, 3, 3, c, o), _normal(rng, o)]
     _assert_same_bits_at_any_worker_count(
         lambda x, w, b: nn.conv2d(x, w, b, stride=stride), arrays, monkeypatch, split_counts)
+
+
+def test_conv2d_splits_at_the_stem_size(monkeypatch, split_counts):
+    """PatchStem's RGB conv at the 192-frame training batch, its (32, 32, 16) coordinate map as the bias."""
+    monkeypatch.setattr(nn, "_SPLIT_MIN_SIZE", 2 ** 16)
+    rng = np.random.default_rng(195)
+    arrays = [_normal(rng, 192, 64, 64, 3), _normal(rng, 3, 3, 3, 16), _normal(rng, 32, 32, 16)]
+    _assert_same_bits_at_any_worker_count(
+        lambda x, w, b: nn.conv2d(x, w, b, stride=2), arrays, monkeypatch, split_counts)
 
 
 @pytest.mark.parametrize("causal", [False, True])
