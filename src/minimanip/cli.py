@@ -12,15 +12,16 @@ import sys
 
 import numpy as np
 
+from . import data, diffusion, env, pipeline, policies, prompts, storage
+from . import inverse_dynamics as idm
+
 
 def _cmd_registry(args):
-    from . import env
     env.write_registry(args.out)
     print(f"wrote {len(env.REGISTRY)} tasks to {args.out}")
 
 
 def _cmd_collect(args):
-    from . import data
     trajs = data.collect(args.task, n_episodes=args.episodes, epsilon=args.epsilon,
                          max_steps=args.max_steps, seed=args.seed)
     data.save_dataset(trajs, args.out)
@@ -30,14 +31,12 @@ def _cmd_collect(args):
 
 
 def _cmd_expand(args):
-    from . import env, prompts
     text = env.get_task(args.task).description if args.task else args.text
     p = prompts.expand_prompt(text)
     print(p.expanded)
 
 
 def _cmd_similarity(args):
-    from . import env, prompts, storage
     descs = [t.description for t in env.REGISTRY.values()]
     names = list(env.REGISTRY)
     mat = prompts.similarity_matrix([prompts.expand_prompt(d) for d in descs])
@@ -48,7 +47,6 @@ def _cmd_similarity(args):
 
 
 def _load_trajs(root, task_ids=None):
-    from . import data
     trajs = data.load_dataset(root, task_ids=task_ids)
     if not trajs:
         raise SystemExit(f"no episodes found under {root}")
@@ -56,7 +54,6 @@ def _load_trajs(root, task_ids=None):
 
 
 def _cmd_train_dvg(args):
-    from . import data, pipeline, storage
     split = data.fold_split(args.fold)
     trajs = _load_trajs(args.data, task_ids=set(split.few_shot))
     cfg = pipeline.CrossvalConfig(seed=args.seed, dvg_steps=args.steps)
@@ -68,9 +65,10 @@ def _cmd_train_dvg(args):
 
 
 def _cmd_sample(args):
-    from . import diffusion, env, pipeline, storage
+    if args.count < 1:
+        raise SystemExit(f"--count {args.count}: must be >= 1")
     model, _ = storage.load_model(args.ckpt)
-    schedule = diffusion.build_schedule(args.T, args.kind)
+    schedule = diffusion.build_schedule(args.T)
     task_id = env.get_task(args.task).task_id
     os.makedirs(args.out, exist_ok=True)
     videos = pipeline.sample_demo_videos(task_id, args.count, model, schedule, seed=args.seed)
@@ -81,8 +79,6 @@ def _cmd_sample(args):
 
 
 def _cmd_train_idm(args):
-    from . import data, pipeline, storage
-    from . import inverse_dynamics as idm
     split = data.fold_split(args.fold)
     trajs = _load_trajs(args.data, task_ids=set(split.few_shot))
     cfg = idm.IdmConfig(steps=pipeline.CrossvalConfig().idm_steps, seed=args.seed, window=args.window)
@@ -94,8 +90,6 @@ def _cmd_train_idm(args):
 
 
 def _cmd_label(args):
-    from . import storage
-    from . import inverse_dynamics as idm
     model, _ = storage.load_model(args.ckpt)
     arrays, _ = storage.load_arrays(args.video, "video")
     actions = idm.label_video(model, arrays["frames"])
@@ -104,9 +98,7 @@ def _cmd_label(args):
 
 
 def _cmd_idm_study(args):
-    from . import storage
-    from . import inverse_dynamics as idm
-    rows = idm.generalization_study(
+    rows = pipeline.generalization_study(
         [int(v) for v in args.families.split(",")],
         [int(v) for v in args.traj.split(",")],
         seed=args.seed)
@@ -117,7 +109,6 @@ def _cmd_idm_study(args):
 
 
 def _cmd_train_policy(args):
-    from . import data, pipeline, policies, storage
     split = data.fold_split(args.fold)
     trajs = _load_trajs(args.data, task_ids=set(split.few_shot))
     eps = policies.episodes_from_trajectories(trajs)
@@ -131,7 +122,6 @@ def _cmd_train_policy(args):
 
 
 def _cmd_eval(args):
-    from . import policies, storage
     model, _ = storage.load_model(args.ckpt)
     (rate,) = policies.rollout_eval(model, [args.task], episodes=args.episodes, seed=args.seed).values()
     print(f"{args.task}: accomplishment rate {rate:.3f} over {args.episodes} episodes")
@@ -160,7 +150,6 @@ def _config_value(key, typ, v):
 
 
 def _cmd_crossval(args):
-    from . import pipeline
     kw = {}
     if args.config:
         fields = pipeline.CrossvalConfig.__dataclass_fields__
@@ -181,7 +170,6 @@ def _cmd_crossval(args):
 
 
 def _cmd_report(args):
-    from . import pipeline
     path = os.path.join(args.indir, "report.json")
     try:
         with open(path, encoding="utf-8") as f:
@@ -195,7 +183,6 @@ def _cmd_report(args):
 
 
 def main(argv=None):
-    from . import data, env, pipeline
     budgets = pipeline.CrossvalConfig()  # the stage commands default to the experiment's budgets
     ap = argparse.ArgumentParser(prog="minimanip", description="Desk-scale skill learning from generated demonstration videos.")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -236,7 +223,6 @@ def main(argv=None):
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--T", type=int, default=budgets.sample_T)
-    p.add_argument("--kind", default="cosine")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_sample)
 

@@ -47,7 +47,7 @@ class FoldSplit:
 # Collection
 # ---------------------------------------------------------------------------
 
-def run_episode(task, seed, epsilon=0.1, max_steps=env.MAX_STEPS):
+def run_episode(task, seed, epsilon, max_steps=env.MAX_STEPS):
     """Roll the scripted expert once; truncates at first success."""
     task = env.get_task(task)
     state, frame = env.reset(task, seed)
@@ -69,7 +69,7 @@ def run_episode(task, seed, epsilon=0.1, max_steps=env.MAX_STEPS):
     )
 
 
-def collect(task, n_episodes=20, epsilon=0.1, max_steps=env.MAX_STEPS, seed=0):
+def collect(task, n_episodes, epsilon, max_steps=env.MAX_STEPS, seed=0):
     """Collect `n_episodes` successful expert episodes, resampling failures.
 
     Attempt e uses seed+e; failed episodes are discarded and fresh seeds drawn

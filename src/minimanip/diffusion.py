@@ -18,12 +18,11 @@ from .data import VIDEO_FRAMES, to_unit, from_unit
 
 
 # ---------------------------------------------------------------------------
-# Noise schedules
+# Noise schedule
 # ---------------------------------------------------------------------------
 
 @dataclass
 class NoiseSchedule:
-    kind: str
     T: int
     betas: np.ndarray       # (T,), beta_i for i = 1..T
     alphas: np.ndarray      # 1 - beta
@@ -35,29 +34,24 @@ class NoiseSchedule:
 
 
 def build_schedule(T, kind="cosine"):
-    """Linear or cosine beta schedule of length T.
+    """Cosine beta schedule of length T (Nichol & Dhariwal, arXiv 2102.09672).
 
-    Linear endpoints are the usual 1000-step reference values (1e-4, 0.02)
-    rescaled by 1000/T so that alpha_bar_T stays near zero at any length;
-    cosine follows f(u) = cos^2((u + 0.008)/1.008 * pi/2) normalized by f(0).
+    alpha_bar follows f(u) = cos^2((u + 0.008)/1.008 * pi/2) normalized by
+    f(0). It is the one schedule the video model trains and samples with,
+    and `kind` accepts only "cosine".
     """
+    if kind != "cosine":
+        raise ValueError(f"unknown schedule kind: {kind!r}")
     if T < 2:
         raise ValueError("invalid schedule length")
-    if kind == "linear":
-        scale = 1000.0 / T
-        betas = np.linspace(1e-4 * scale, 0.02 * scale, T)
-    elif kind == "cosine":
-        def f(u):
-            return math.cos((u + 0.008) / 1.008 * math.pi / 2.0) ** 2
-        f0 = f(0.0)
-        bar = np.array([f(i / T) / f0 for i in range(T + 1)])
-        betas = 1.0 - bar[1:] / bar[:-1]
-    else:
-        raise ValueError(f"unknown schedule kind: {kind!r}")
-    betas = np.clip(betas, 1e-8, 0.999)
+
+    def f(u):
+        return math.cos((u + 0.008) / 1.008 * math.pi / 2.0) ** 2
+    f0 = f(0.0)
+    bar = np.array([f(i / T) / f0 for i in range(T + 1)])
+    betas = np.clip(1.0 - bar[1:] / bar[:-1], 1e-8, 0.999)
     alphas = 1.0 - betas
-    return NoiseSchedule(kind=kind, T=T, betas=betas, alphas=alphas,
-                         alpha_bar=np.cumprod(alphas))
+    return NoiseSchedule(T=T, betas=betas, alphas=alphas, alpha_bar=np.cumprod(alphas))
 
 
 def forward_diffuse(v0, t_idx, noise, schedule):
@@ -231,10 +225,10 @@ class VideoDenoiser(nn.Module):
 
 @dataclass
 class DvgConfig:
-    steps: int = 1500
-    batch: int = 2
+    steps: int
+    batch: int
+    T: int
     seed: int = 0
-    T: int = 200
     channels: tuple = (12, 24, 48)
 
 
@@ -256,12 +250,11 @@ def prepare_dvg_dataset(items):
     }
 
 
-def train_dvg(items, config=None, hook=None):
+def train_dvg(items, cfg, hook=None):
     """Mini-batch epsilon-prediction training on `prepare_dvg_dataset` items; returns (model, loss log).
 
     The set stays uint8: each step converts only the videos and pose videos it draws.
     """
-    cfg = config or DvgConfig()
     packed = prepare_dvg_dataset(items)
     videos, text, pose = packed["videos"], packed["text"], packed["pose"]
     n = len(videos)

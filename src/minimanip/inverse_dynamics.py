@@ -119,7 +119,7 @@ class ActionDecoder(nn.Module):
 
 @dataclass
 class IdmConfig:
-    steps: int = 1500
+    steps: int
     batch: int = 16
     seed: int = 0
     d: int = 64
@@ -151,13 +151,12 @@ def pack_video_windows(trajectories):
     return np.stack(vids), np.stack(targets)
 
 
-def train_idm(packed, config=None, hook=None):
+def train_idm(packed, cfg, hook=None):
     """Train on a pack_video_windows (videos, targets) pair.
 
     Each step draws `batch` windows of length `cfg.window` uniformly over
     every (video, start) pair.
     """
-    cfg = config or IdmConfig()
     vids, targets = packed
     windows = _windows(vids.shape[1], cfg.window)
     rng = np.random.default_rng(cfg.seed)
@@ -232,35 +231,3 @@ def binwise_accuracy(model, packed):
     hit = np.abs(pred - targets[:, _windows(vids.shape[1], model.window)[:, :-1]]) <= 1
     return hit.mean(axis=(0, 1, 2))
 
-
-# ---------------------------------------------------------------------------
-# Generalization study
-# ---------------------------------------------------------------------------
-
-def generalization_study(family_counts, traj_counts, seed=0):
-    """Train one model per (families, trajectories-per-task) cell.
-
-    Reports few-shot and zero-shot +/-1-bin accuracy per cell. Few-shot
-    evaluation uses 4 held-out episodes per training variant; zero-shot
-    uses 4 per variant of the untrained fold, across all families.
-    """
-    split = data.fold_split(1)
-    rows = []
-    for fc in family_counts:
-        if fc > len(split.few_shot):
-            raise ValueError("insufficient data: not enough families")
-        train_tasks = split.few_shot[:fc]
-        for tc in traj_counts:
-            trajs = []
-            for tid in train_tasks:
-                trajs.extend(data.collect(tid, n_episodes=tc, seed=seed))
-            model, _ = train_idm(pack_video_windows(trajs), IdmConfig(seed=seed))
-            few = binwise_accuracy(model, pack_video_windows(
-                [data.run_episode(tid, 10_000 + seed + i, epsilon=0.0)
-                 for tid in train_tasks for i in range(4)])).mean()
-            zero = binwise_accuracy(model, pack_video_windows(
-                [data.run_episode(tid, 20_000 + seed + i, epsilon=0.0)
-                 for tid in split.zero_shot for i in range(4)])).mean()
-            rows.append({"families": fc, "traj_per_task": tc,
-                         "few_shot_acc": float(few), "zero_shot_acc": float(zero)})
-    return rows

@@ -383,6 +383,39 @@ def run_crossval(cfg=None, out_dir=None, log=print):
     return reports, quality
 
 
+def generalization_study(family_counts, traj_counts, seed=0):
+    """Train one action labeler per (families, trajectories-per-task) cell.
+
+    Each cell collects its fold-1 few-shot expert data and trains at the
+    experiment's budgets (`CrossvalConfig`'s `collect_epsilon` and
+    `idm_steps`). Reports few-shot and zero-shot +/-1-bin accuracy per cell.
+    Few-shot evaluation uses 4 held-out episodes per training variant;
+    zero-shot uses 4 per variant of the untrained fold, across all families.
+    """
+    budgets = CrossvalConfig()
+    split = data.fold_split(1)
+    rows = []
+    for fc in family_counts:
+        if fc > len(split.few_shot):
+            raise ValueError("insufficient data: not enough families")
+        train_tasks = split.few_shot[:fc]
+        for tc in traj_counts:
+            trajs = []
+            for tid in train_tasks:
+                trajs.extend(data.collect(tid, n_episodes=tc, epsilon=budgets.collect_epsilon, seed=seed))
+            model, _ = idm_mod.train_idm(idm_mod.pack_video_windows(trajs),
+                                         idm_mod.IdmConfig(steps=budgets.idm_steps, seed=seed))
+            few = idm_mod.binwise_accuracy(model, idm_mod.pack_video_windows(
+                [data.run_episode(tid, 10_000 + seed + i, epsilon=0.0)
+                 for tid in train_tasks for i in range(4)])).mean()
+            zero = idm_mod.binwise_accuracy(model, idm_mod.pack_video_windows(
+                [data.run_episode(tid, 20_000 + seed + i, epsilon=0.0)
+                 for tid in split.zero_shot for i in range(4)])).mean()
+            rows.append({"families": fc, "traj_per_task": tc,
+                         "few_shot_acc": float(few), "zero_shot_acc": float(zero)})
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Report files
 # ---------------------------------------------------------------------------

@@ -132,16 +132,15 @@ def _history_indices(t, k, stride, length):
 
 @dataclass
 class BCConfig:
-    steps: int = 1500
+    steps: int
     batch: int = 32
     seed: int = 0
     d: int = 64
     blocks: int = 2
 
 
-def train_policy(arch, episodes, config=None, hook=None):
+def train_policy(arch, episodes, cfg, hook=None):
     """Behavior cloning on (frame, action) pairs from the given episodes."""
-    cfg = config or BCConfig()
     if not episodes:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(cfg.seed)
@@ -224,7 +223,7 @@ def rollout_many(model, task_seed_pairs, max_steps=env.MAX_STEPS):
     return done
 
 
-def rollout_eval(model, tasks, episodes=50, seed=0):
+def rollout_eval(model, tasks, episodes, seed=0):
     """Accomplishment rate per task over `episodes` greedy closed-loop rollouts each.
 
     Every episode of every task runs in one lockstep `rollout_many` batch;

@@ -91,6 +91,16 @@ def test_sample_writes_the_videos_generate_demonstrations_samples(tmp_path):
         assert np.array_equal(storage.load_arrays(path, "video")[0]["frames"], demo.video)
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_sample_rejects_a_count_below_one(tmp_path, count):
+    """The count is checked before the checkpoint is read or the output directory made."""
+    out = tmp_path / "videos"
+    with pytest.raises(SystemExit, match=f"--count {count}: must be >= 1"):
+        cli.main(["sample", "--ckpt", str(tmp_path / "missing.ckpt"), "--task", "reach",
+                  "--count", str(count), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_train_idm_and_idm_study(tmp_path, monkeypatch):
     """Both commands run end to end; every IDM they train takes one step at a tiny width."""
     train_idm = idm.train_idm
@@ -186,11 +196,16 @@ _FOLD_DATA = ["--fold", "1", "--data", "episodes", "--out", "out"]
      lambda a, k: a[0], "sample_T"),
     (["eval", "--ckpt", "lcbc.ckpt", "--task", "reach"], (policies, "rollout_eval"),
      lambda a, k: k["episodes"], "eval_episodes"),
+    (["idm-study", "--families", "1", "--traj", "1"], (idm, "train_idm"),
+     lambda a, k: a[1].steps, "idm_steps"),
+    (["idm-study", "--families", "1", "--traj", "1"], (data, "collect"),
+     lambda a, k: k["epsilon"], "collect_epsilon"),
 ], ids=["collect-episodes", "collect-epsilon", "train-dvg", "train-idm", "train-policy-lcbc",
-        "train-policy-rt1", "sample", "eval"])
+        "train-policy-rt1", "sample", "eval", "idm-study-steps", "idm-study-epsilon"])
 def test_stage_defaults_are_the_crossval_budgets(monkeypatch, argv, stage, budget, field):
     """Each stage command's default budget is the one run_crossval gives that stage."""
     monkeypatch.setattr(data, "load_dataset", lambda root, task_ids: ["trajectory"])
+    monkeypatch.setattr(data, "collect", lambda task, **kwargs: ["trajectory"])
     monkeypatch.setattr(idm, "pack_video_windows", lambda trajs: trajs)
     monkeypatch.setattr(policies, "episodes_from_trajectories", lambda trajs: trajs)
     monkeypatch.setattr(storage, "load_model", lambda path: (None, {}))

@@ -174,7 +174,7 @@ def test_pack_video_windows_counts(w, expect):
 def test_pack_video_windows_too_short():
     packed = idm.pack_video_windows([_toy_traj(13)])
     with pytest.raises(ValueError, match="video too short"):
-        idm.train_idm(packed, idm.IdmConfig(window=37))
+        idm.train_idm(packed, idm.IdmConfig(steps=1, window=37))
     model = idm.ActionDecoder(np.random.default_rng(0), d=8, window=37)
     with pytest.raises(ValueError, match="video too short"):
         idm.binwise_accuracy(model, packed)

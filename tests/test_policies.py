@@ -60,7 +60,7 @@ def test_train_policy_improves_and_deterministic(episodes):
 
 def test_train_policy_empty():
     with pytest.raises(ValueError, match="empty dataset"):
-        policies.train_policy("lcbc", [])
+        policies.train_policy("lcbc", [], policies.BCConfig(steps=1))
 
 
 def test_train_rt1_runs(episodes):
