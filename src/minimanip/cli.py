@@ -65,8 +65,9 @@ def _cmd_train_dvg(args):
 
 
 def _cmd_sample(args):
-    if args.count < 1:
-        raise SystemExit(f"--count {args.count}: must be >= 1")
+    for flag, value, least in (("--count", args.count, 1), ("--T", args.T, 2)):
+        if value < least:
+            raise SystemExit(f"{flag} {value}: must be >= {least}")
     model, _ = storage.load_model(args.ckpt)
     schedule = diffusion.build_schedule(args.T)
     task_id = env.get_task(args.task).task_id
@@ -97,11 +98,16 @@ def _cmd_label(args):
     print(f"labeled {len(actions)} steps -> {args.out}")
 
 
+def _int_list(text):
+    return [int(v) for v in text.split(",")]
+
+
 def _cmd_idm_study(args):
-    rows = pipeline.generalization_study(
-        [int(v) for v in args.families.split(",")],
-        [int(v) for v in args.traj.split(",")],
-        seed=args.seed)
+    try:
+        pipeline.check_study_counts(args.families, args.traj)
+    except ValueError as e:  # it names families or traj, as the flags do
+        raise SystemExit(f"--{e}") from None
+    rows = pipeline.generalization_study(args.families, args.traj, seed=args.seed)
     lines = ["families,traj_per_task,few_shot_acc,zero_shot_acc"]
     lines += [f"{r['families']},{r['traj_per_task']},{r['few_shot_acc']:.4f},{r['zero_shot_acc']:.4f}" for r in rows]
     storage.save_text(args.out, "\n".join(lines) + "\n")
@@ -241,8 +247,8 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_label)
 
     p = sub.add_parser("idm-study", help="labeler generalization study")
-    p.add_argument("--families", default="2,8")
-    p.add_argument("--traj", default="10,20")
+    p.add_argument("--families", type=_int_list, default="2,8")
+    p.add_argument("--traj", type=_int_list, default="10,20")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="report.csv")
     p.set_defaults(fn=_cmd_idm_study)

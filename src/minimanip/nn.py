@@ -19,12 +19,11 @@ Convolutions are a sum of kh*kw shifted GEMMs. The forward runs over
 cache-sized blocks of whole images, padding each block into one reused
 buffer, and with one input channel a tap is a plain product, not a K=1
 GEMM. The backward pass re-reads the padded input instead of retaining the
-shifted copies. UpBlock projects before it upsamples (conv1x1_upsample2x),
-so its GEMM runs on a quarter of the rows and the tape keeps only the
-low-resolution input.
+shifted copies. conv1x1 is matmul plus add; UpBlock runs it before
+upsample2x, on a quarter of the rows, and tapes only the low-res input.
 
 The kernels of conv2d, attention, layernorm, the flat GEMMs (matmul with
-a 2-D right operand, conv1x1) and the elementwise add, relu and transpose
+a 2-D right operand) and the elementwise add, relu and transpose
 split their independent rows (images, attention chunks, normalized rows,
 GEMM rows, rows of the output's first axis longer than one) over a thread
 pool; add's split covers its broadcasts and the grad sums of
@@ -794,25 +793,8 @@ def layernorm(x, gamma, beta):
 # -- conv / resize ------------------------------------------------------
 
 def conv1x1(x, w, b):
-    """Pointwise conv on (N,H,W,C): a single flat GEMM, no data movement."""
-    c, o = w.shape[2], w.shape[3]
-    wmat = w.data.reshape(c, o)
-    y = _gemm(x.data.reshape(-1, c), wmat)
-    y += b.data
-    y = y.reshape(x.shape[:3] + (o,))
-    nx, nw, nb = x._node, w._node, b._node
-    xd, wmat = _saved(x.data, nw is not None), _saved(wmat, nx is not None)
-
-    def bwd(g):
-        gmat = g.reshape(-1, o)
-        if nw is not None:
-            nw.accumulate((xd.reshape(-1, c).T @ gmat).reshape(1, 1, c, o))
-        if nb is not None:
-            nb.accumulate(gmat.sum(axis=0))
-        if nx is not None:
-            nx.accumulate(_gemm(gmat, wmat.T).reshape(xd.shape))
-
-    return _make(y, (x, w, b), bwd)
+    """Pointwise conv on (N,H,W,C): matmul's one flat GEMM over the channel axis, plus the bias."""
+    return add(matmul(x, reshape(w, w.shape[2:])), b)
 
 
 # Bytes of one block of images in conv2d's forward: its shifted copy of the
@@ -946,42 +928,16 @@ def conv2d(x, w, b, stride=1):
     return _make(y, inputs, bwd)
 
 
-def _upsample2x(a):
-    """Nearest-neighbor 2x upsample of an (N,H,W,C) array."""
-    n, h, w, c = a.shape
-    y = np.empty((n, h, 2, w, 2, c), dtype=a.dtype)
-    y[...] = a[:, :, None, :, None, :]
-    return y.reshape(n, 2 * h, 2 * w, c)
-
-
-def conv1x1_upsample2x(x, w, b):
-    """Pointwise conv, then nearest 2x upsample: conv1x1(upsample2x(x)) at a quarter of the GEMM.
-
-    Each output row is the GEMM row the upsampled input would give, so the
-    result has the same bits. The tape keeps the low-resolution input; the
-    weight grad upsamples it again and runs the same GEMM as on the
-    upsampled input, and the input grad sums g @ wᵀ over each 2x2 block.
-    """
-    c, o = w.shape[2], w.shape[3]
-    wmat = w.data.reshape(c, o)
-    y = _gemm(x.data.reshape(-1, c), wmat)
-    y += b.data
-    y = _upsample2x(y.reshape(x.shape[:3] + (o,)))
-    nx, nw, nb = x._node, w._node, b._node
-    xd, wmat = _saved(x.data, nw is not None), _saved(wmat, nx is not None)
+def upsample2x(x):
+    """Nearest-neighbor 2x upsample of (N,H,W,C) x; its backward sums each 2x2 block of the grad."""
+    nx, (n, h, w, c) = x._node, x.shape
+    y = np.empty((n, h, 2, w, 2, c), dtype=x.dtype)
+    y[...] = x.data[:, :, None, :, None, :]
 
     def bwd(g):
-        n, h2, w2, _ = g.shape
-        gmat = g.reshape(-1, o)
-        if nw is not None:
-            nw.accumulate((_upsample2x(xd).reshape(-1, c).T @ gmat).reshape(1, 1, c, o))
-        if nb is not None:
-            nb.accumulate(gmat.sum(axis=0))
-        if nx is not None:
-            gx = _gemm(gmat, wmat.T).reshape(n, h2 // 2, 2, w2 // 2, 2, c)
-            nx.accumulate(gx.sum(axis=(2, 4)))
+        nx.accumulate(g.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4)))
 
-    return _make(y, (x, w, b), bwd)
+    return _make(y.reshape(n, 2 * h, 2 * w, c), (x,), bwd)
 
 
 # -- parameters / modules ------------------------------------------------
@@ -1060,7 +1016,7 @@ class UpBlock(Module):
         self.proj = Conv2d(c_in, c_out, rng, k=1)
 
     def __call__(self, x):
-        return conv1x1_upsample2x(x, self.proj.w, self.proj.b)
+        return upsample2x(self.proj(x))
 
 
 class LayerNorm(Module):

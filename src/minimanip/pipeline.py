@@ -383,6 +383,15 @@ def run_crossval(cfg=None, out_dir=None, log=print):
     return reports, quality
 
 
+def check_study_counts(family_counts, traj_counts):
+    """Raise ValueError, naming "families" or "traj", unless family counts are 1 to 8 and trajectory counts >= 1."""
+    n = len(data.fold_split(1).few_shot)
+    if not all(1 <= fc <= n for fc in family_counts):
+        raise ValueError(f"families {','.join(map(str, family_counts))}: each must be 1 to {n}")
+    if not all(tc >= 1 for tc in traj_counts):
+        raise ValueError(f"traj {','.join(map(str, traj_counts))}: each must be >= 1")
+
+
 def generalization_study(family_counts, traj_counts, seed=0):
     """Train one action labeler per (families, trajectories-per-task) cell.
 
@@ -392,12 +401,11 @@ def generalization_study(family_counts, traj_counts, seed=0):
     Few-shot evaluation uses 4 held-out episodes per training variant;
     zero-shot uses 4 per variant of the untrained fold, across all families.
     """
+    check_study_counts(family_counts, traj_counts)
     budgets = CrossvalConfig()
     split = data.fold_split(1)
     rows = []
     for fc in family_counts:
-        if fc > len(split.few_shot):
-            raise ValueError("insufficient data: not enough families")
         train_tasks = split.few_shot[:fc]
         for tc in traj_counts:
             trajs = []

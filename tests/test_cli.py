@@ -101,6 +101,37 @@ def test_sample_rejects_a_count_below_one(tmp_path, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("T", [1, 0])
+def test_sample_rejects_a_schedule_shorter_than_two(tmp_path, T):
+    """--T is checked before the checkpoint is read or the output directory made."""
+    out = tmp_path / "videos"
+    with pytest.raises(SystemExit, match=f"--T {T}: must be >= 2"):
+        cli.main(["sample", "--ckpt", str(tmp_path / "missing.ckpt"), "--task", "reach",
+                  "--T", str(T), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--traj", "0"], "--traj 0: each must be >= 1"),
+    (["--traj", "10,0"], "--traj 10,0: each must be >= 1"),
+    (["--families", "9"], "--families 9: each must be 1 to 8"),
+    (["--families", "2,0"], "--families 2,0: each must be 1 to 8"),
+    (["--traj", "x"], "argument --traj: invalid _int_list value: 'x'"),
+    (["--families", "2.5"], "argument --families: invalid _int_list value: '2.5'"),
+])
+def test_idm_study_rejects_a_bad_count_before_any_cell(tmp_path, monkeypatch, capsys, flags, message):
+    """A count that is not an integer, or that the study rejects, ends in a message naming its flag."""
+    def never(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(data, "collect", never)
+    out = tmp_path / "study.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["idm-study", *flags, "--out", str(out)])
+    assert message in f"{exc.value.code}{capsys.readouterr().err}"
+    assert not out.exists()
+
+
 def test_train_idm_and_idm_study(tmp_path, monkeypatch):
     """Both commands run end to end; every IDM they train takes one step at a tiny width."""
     train_idm = idm.train_idm

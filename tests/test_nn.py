@@ -172,28 +172,65 @@ def test_conv2d_bias_map_is_added_to_every_image(k, stride):
         assert got.tobytes() == ref.tobytes()
 
 
-def test_conv1x1_upsample2x_matches_upsampled_conv1x1_bit_for_bit():
-    """The output and the grads of x, w and b equal those of conv1x1 on an np.repeat-upsampled x."""
-    rng = np.random.default_rng(15)
-    x0 = rng.normal(size=(4, 16, 16, 12)).astype(np.float32)
-    w0 = (0.3 * rng.normal(size=(1, 1, 12, 6))).astype(np.float32)
-    b0 = rng.normal(size=6).astype(np.float32)
-    g = rng.normal(size=(4, 32, 32, 6)).astype(np.float32)
-    results = []
-    for fused in (False, True):
-        w, b = nn.Param(w0.copy()), nn.Param(b0.copy())
-        if fused:
-            x = nn.Tensor(x0.copy(), requires_grad=True)
-            y = nn.conv1x1_upsample2x(x, w, b)
-        else:
-            x = nn.Tensor(np.repeat(np.repeat(x0, 2, axis=1), 2, axis=2), requires_grad=True)
-            y = nn.conv1x1(x, w, b)
-        y.backward(g)
-        gx = x.grad if fused else x.grad.reshape(4, 16, 2, 16, 2, 12).sum(axis=(2, 4))
-        results.append([y.data, gx, w.grad, b.grad])
-    for ref, got in zip(*results):
+def _pointwise_reference(x, w, b, g):
+    """A pointwise conv's output and x, w, b grads as plain numpy GEMMs over the channel axis."""
+    c, o = w.shape[2:]
+    xm, wm, gm = x.reshape(-1, c), w.reshape(c, o), g.reshape(-1, o)
+    return [(xm @ wm + b).reshape(g.shape), (gm @ wm.T).reshape(x.shape),
+            (xm.T @ gm).reshape(w.shape), gm.sum(axis=0)]
+
+
+@pytest.mark.parametrize("shape, o", [((72, 64, 64, 12), 6), ((72, 16, 16, 48), 24), ((72, 32, 32, 24), 12)],
+                         ids=["out_proj", "up2", "up1"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv1x1_matches_the_plain_gemms_bit_for_bit(shape, o, dtype):
+    """conv1x1 at the denoiser's pointwise shapes: y = X W + b, gx = G Wᵀ, gw = Xᵀ G, gb = Σ G."""
+    rng = np.random.default_rng(14)
+    x0 = rng.normal(size=shape).astype(dtype)
+    w0 = (0.3 * rng.normal(size=(1, 1, shape[-1], o))).astype(dtype)
+    b0 = rng.normal(size=o).astype(dtype)
+    g = rng.normal(size=shape[:3] + (o,)).astype(dtype)
+    x, w, b = (nn.Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+    y = nn.conv1x1(x, w, b)
+    y.backward(g)
+    for ref, got in zip(_pointwise_reference(x0, w0, b0, g), [y.data, x.grad, w.grad, b.grad]):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+
+def test_upblock_matches_the_upsample_first_conv_within_rounding():
+    """UpBlock's output has the bits of conv1x1 on an np.repeat-upsampled x. Its grads sum g over
+    each 2x2 block before the GEMMs, not after, so each is within 8 eps of its sum of |terms|:
+    Σ|g| for b, the block sums of |g| times |w|ᵀ for x, and |x|ᵀ times those for w."""
+    rng = np.random.default_rng(15)
+    arrays = [rng.normal(size=(4, 16, 16, 12)), 0.3 * rng.normal(size=(1, 1, 12, 6)),
+              rng.normal(size=6), rng.normal(size=(4, 32, 32, 6))]
+    arrays = [a.astype(np.float32) for a in arrays]
+    for dtype in (np.float32, np.float64):
+        _check_upblock_against_upsample_first(*(a.astype(dtype) for a in arrays))
+
+
+def _check_upblock_against_upsample_first(x0, w0, b0, g):
+    up = nn.UpBlock(12, 6, np.random.default_rng(0))
+    up.proj.w.data, up.proj.b.data = w0, b0
+    x = nn.Tensor(x0, requires_grad=True)
+    y = up(x)
+    y.backward(g)
+    y_ref, gx_ref, gw_ref, gb_ref = _pointwise_reference(
+        np.repeat(np.repeat(x0, 2, axis=1), 2, axis=2), w0, b0, g)
+    assert y.data.dtype == y_ref.dtype and y.data.tobytes() == y_ref.tobytes()
+
+    def blocks(a):  # the sum of each 2x2 block
+        return a.reshape(4, 16, 2, 16, 2, -1).sum(axis=(2, 4))
+
+    abs_g = blocks(np.abs(g)).reshape(-1, 6)
+    checks = [(x.grad, blocks(gx_ref), abs_g @ np.abs(w0).reshape(12, 6).T),
+              (up.proj.w.grad, gw_ref, np.abs(x0).reshape(-1, 12).T @ abs_g),
+              (up.proj.b.grad, gb_ref, abs_g.sum(axis=0))]
+    eps = np.finfo(g.dtype).eps
+    for got, ref, terms in checks:
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert (np.abs(got - ref) <= 8 * eps * terms.reshape(ref.shape)).all()
 
 
 @pytest.mark.parametrize("index", [0, -1, slice(1, 3)])
@@ -208,10 +245,11 @@ def test_conv1x1_upsample2x_and_silu_grad(which):
     args = [rng.normal(size=(2, 3, 3, 2)), rng.normal(size=(1, 1, 2, 3)), rng.normal(size=3)]
     x0 = args[which]
     args = [nn.Tensor(a) for a in args]
+    target = rng.normal(size=(2, 6, 6, 3))  # not constant, so g differs within each 2x2 block
 
     def loss(t):
         x, w, b = args[:which] + [t] + args[which + 1:]
-        return nn.mse(nn.conv1x1_upsample2x(nn.silu(x), w, b), 0.2)
+        return nn.mse(nn.upsample2x(nn.conv1x1(nn.silu(x), w, b)), target)
 
     _gradcheck_input(loss, x0)
 

@@ -147,7 +147,6 @@ def test_layernorm_matches_the_plain_expression_bit_for_bit(x_dtype, gamma_dtype
 @pytest.mark.parametrize("op, shapes", [
     (nn.matmul, [(3, 5, 8), (8, 6)]),
     (nn.conv1x1, [(3, 4, 5, 6), (1, 1, 6, 7), (7,)]),
-    (nn.conv1x1_upsample2x, [(3, 4, 5, 6), (1, 1, 6, 7), (7,)]),
 ])
 def test_row_split_gemms_keep_every_bit(op, shapes, monkeypatch, split_counts):
     rng = np.random.default_rng(len(shapes))

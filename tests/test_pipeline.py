@@ -319,3 +319,19 @@ def test_crossval_report_records_the_trained_models(monkeypatch, tmp_path, capsy
     capsys.readouterr()
     cli.main(["report", "--in", str(a), "--format", "csv"])
     assert capsys.readouterr().out == (a / "rates.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("family_counts, traj_counts, message", [
+    ([2], [10, 0], "traj 10,0: each must be >= 1"),
+    ([2, 9], [10], "families 2,9: each must be 1 to 8"),
+    ([0], [10], "families 0: each must be 1 to 8"),
+])
+def test_generalization_study_checks_every_count_first(monkeypatch, family_counts, traj_counts, message):
+    """A bad count anywhere in either list raises before any cell collects or trains."""
+    def never(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(data, "collect", never)
+    monkeypatch.setattr(idm, "train_idm", never)
+    with pytest.raises(ValueError, match=message):
+        pipeline.generalization_study(family_counts, traj_counts)

@@ -77,7 +77,7 @@ def classifier_loss(rng):
 
 
 MODEL_LOSSES = {
-    "VideoDenoiser": (dvg_loss, "ddc7bc8d857ec7ad"),
+    "VideoDenoiser": (dvg_loss, "461a855f159ab6da"),
     "ActionDecoder": (idm_loss, "8f02e32d28b1875e"),
     "SingleFramePolicy": (lcbc_loss, "0d13a44369b1ed4f"),
     "HistoryPolicy": (rt1_loss, "e93fac2658e86c92"),
@@ -187,7 +187,7 @@ def tape_held_bytes(loss):
     return sum(a.nbytes for a in bases.values())
 
 
-@pytest.mark.parametrize("build,ops", [(dvg_loss, 109), (idm_loss, 48)],
+@pytest.mark.parametrize("build,ops", [(dvg_loss, 117), (idm_loss, 48)],
                          ids=["VideoDenoiser", "ActionDecoder"])
 def test_tape_keeps_no_tensor(build, ops):
     _, loss = build(np.random.default_rng(3))
@@ -229,12 +229,15 @@ def test_attention_tape_keeps_no_score_tensor():
 
 
 def test_upblock_tape_keeps_the_low_resolution_input():
-    """Each UpBlock closure holds its 16x16 or 32x32 input, no array at the upsampled resolution."""
-    _, loss = dvg_loss(np.random.default_rng(3))
-    held = [[c.cell_contents.shape for c in fn.__closure__
-             if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.ndim > 2]
-            for fn in tape_closures(loss) if fn.__qualname__.startswith("conv1x1_upsample2x.")]
-    assert sorted(held) == [[(4, 16, 16, 4)], [(4, 32, 32, 3)]]
+    """Each UpBlock projection holds its 16x16 or 32x32 input, and its upsample2x holds no array."""
+    model, loss = dvg_loss(np.random.default_rng(3))
+    closures = tape_closures(loss)
+    weights = {id(model.up2.proj.w.data): "up2", id(model.up1.proj.w.data): "up1"}
+    held = {weights[id(a.base)]: sorted(b.shape for b in closure_arrays(fn) if b.ndim > 2)
+            for fn in closures for a in closure_arrays(fn) if id(a.base) in weights}
+    assert held == {"up2": [(4, 16, 16, 4)], "up1": [(4, 32, 32, 3)]}
+    upsamples = [fn for fn in closures if fn.__qualname__.startswith("upsample2x.")]
+    assert len(upsamples) == 2 and not any(closure_arrays(fn) for fn in upsamples)
 
 
 _TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
