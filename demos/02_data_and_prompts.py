@@ -37,7 +37,7 @@ def main():
         "Brown ferrule and green handle, red cylinder, rings over columns",
         "Black metal safety door, door close, door lock",
     ]:
-        print(" ", prompts.expand_prompt(text).expanded)
+        print(" ", prompts.expand_prompt(text))
 
     descs = [t.description for t in env.REGISTRY.values()]
     m_orig = prompts.similarity_matrix(descs)

@@ -16,7 +16,7 @@ def main():
     model, log = pipeline.train_dvg_for_fold(trajs, cfg)
     print(f"loss {log[0]:.3f} -> {np.mean(log[-20:]):.3f}")
 
-    sched = diffusion.build_schedule(40, "cosine")
+    sched = diffusion.build_schedule(40)
     lay = trajs[0].layout
     poses = prompts.plan_pose("drawer-open", lay)
     pv = prompts.render_pose_video(poses)

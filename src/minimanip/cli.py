@@ -31,9 +31,7 @@ def _cmd_collect(args):
 
 
 def _cmd_expand(args):
-    text = env.get_task(args.task).description if args.task else args.text
-    p = prompts.expand_prompt(text)
-    print(p.expanded)
+    print(prompts.expand_prompt(env.get_task(args.task).description if args.task else args.text))
 
 
 def _cmd_similarity(args):
@@ -65,17 +63,13 @@ def _cmd_train_dvg(args):
 
 
 def _cmd_sample(args):
-    for flag, value, least in (("--count", args.count, 1), ("--T", args.T, 2)):
-        if value < least:
-            raise SystemExit(f"{flag} {value}: must be >= {least}")
     model, _ = storage.load_model(args.ckpt)
     schedule = diffusion.build_schedule(args.T)
-    task_id = env.get_task(args.task).task_id
     os.makedirs(args.out, exist_ok=True)
-    videos = pipeline.sample_demo_videos(task_id, args.count, model, schedule, seed=args.seed)
+    videos = pipeline.sample_demo_videos(args.task, args.count, model, schedule, seed=args.seed)
     for m, (_, _, video) in enumerate(videos):
-        storage.save_arrays(os.path.join(args.out, f"{task_id}_{m:03d}.bin"), {"frames": video},
-                            {"kind": "video", "task_id": task_id, "seed": args.seed})
+        storage.save_arrays(os.path.join(args.out, f"{args.task}_{m:03d}.bin"), {"frames": video},
+                            {"kind": "video", "task_id": args.task, "seed": args.seed})
     print(f"sampled {args.count} videos to {args.out}")
 
 
@@ -188,6 +182,10 @@ def _cmd_report(args):
         print(pipeline.summarize(reports))
 
 
+# the least value of each count flag, checked before a command reads any file
+_LEAST = {"episodes": 1, "steps": 1, "count": 1, "T": 2, "window": 2}
+
+
 def main(argv=None):
     budgets = pipeline.CrossvalConfig()  # the stage commands default to the experiment's budgets
     ap = argparse.ArgumentParser(prog="minimanip", description="Desk-scale skill learning from generated demonstration videos.")
@@ -198,7 +196,7 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_registry)
 
     p = sub.add_parser("collect", help="collect scripted-expert episodes")
-    p.add_argument("--task", required=True)
+    p.add_argument("--task", choices=env.TASK_IDS, required=True)
     p.add_argument("--episodes", type=int, default=budgets.n_expert_episodes)
     p.add_argument("--epsilon", type=float, default=budgets.collect_epsilon)
     p.add_argument("--max-steps", type=int, default=env.MAX_STEPS)
@@ -206,9 +204,10 @@ def main(argv=None):
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_collect)
 
-    p = sub.add_parser("expand", help="expand a task description")
-    p.add_argument("--task")
-    p.add_argument("--text")
+    p = sub.add_parser("expand", help="expand a task description or a text")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--task", choices=env.TASK_IDS)
+    g.add_argument("--text")
     p.set_defaults(fn=_cmd_expand)
 
     p = sub.add_parser("similarity", help="write the prompt similarity matrix")
@@ -216,7 +215,7 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_similarity)
 
     p = sub.add_parser("train-dvg", help="train the video generator on a fold")
-    p.add_argument("--fold", type=int, required=True)
+    p.add_argument("--fold", type=int, choices=(1, 2), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--steps", type=int, default=budgets.dvg_steps)
     p.add_argument("--seed", type=int, default=0)
@@ -225,7 +224,7 @@ def main(argv=None):
 
     p = sub.add_parser("sample", help="sample demonstration videos")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--task", required=True)
+    p.add_argument("--task", choices=env.TASK_IDS, required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--T", type=int, default=budgets.sample_T)
@@ -233,7 +232,7 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("train-idm", help="train the action labeler on a fold")
-    p.add_argument("--fold", type=int, required=True)
+    p.add_argument("--fold", type=int, choices=(1, 2), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--window", type=int, default=data.WINDOW)
     p.add_argument("--seed", type=int, default=0)
@@ -256,7 +255,7 @@ def main(argv=None):
     p = sub.add_parser("train-policy", help="behavior-clone a policy")
     p.add_argument("--arch", choices=pipeline.ARCHITECTURES, required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--fold", type=int, default=1)
+    p.add_argument("--fold", type=int, choices=(1, 2), default=1)
     p.add_argument("--steps", type=int, help="default by --arch: " + ", ".join(
         f"{arch} {budgets.bc_steps(arch)}" for arch in pipeline.ARCHITECTURES))
     p.add_argument("--seed", type=int, default=0)
@@ -265,7 +264,7 @@ def main(argv=None):
 
     p = sub.add_parser("eval", help="closed-loop accomplishment rate")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--task", required=True)
+    p.add_argument("--task", choices=env.TASK_IDS, required=True)
     p.add_argument("--episodes", type=int, default=budgets.eval_episodes)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_eval)
@@ -281,6 +280,10 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_report)
 
     args = ap.parse_args(argv)
+    for name, least in _LEAST.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise SystemExit(f"--{name} {value}: must be >= {least}")
     args.fn(args)
 
 

@@ -655,12 +655,12 @@ def _frame_rect(img, x0, y0, x1, y1, color):
     img[c:d + 1, b] = color
 
 
-def _segment(img, p0, p1, color, radius_px=1):
-    """Discs at 1.5 sample points per pixel of length from p0 to p1, drawn as one union."""
+def _segment(img, p0, p1, color):
+    """1-px discs at 1.5 sample points per pixel of length from p0 to p1, drawn as one union."""
     p0, p1 = np.asarray(p0), np.asarray(p1)
     n = max(2, int(np.linalg.norm(p1 - p0) * RES * 1.5) + 1)
     t = np.linspace(0.0, 1.0, n)[:, None]
-    _discs(img, (1 - t) * p0 + t * p1, radius_px, color)
+    _discs(img, (1 - t) * p0 + t * p1, 1, color)
 
 
 def render(state):
@@ -699,8 +699,8 @@ def render(state):
         h = lay.positions["hinge"]
         c = CONFIG["door"]
         end = handle_point(tid, lay)
-        _segment(img, h, h + np.array([0.0, -c["arm_len"] - 0.02]), (70, 70, 78), 1)  # jamb
-        _segment(img, h, end, accent, 1)
+        _segment(img, h, h + np.array([0.0, -c["arm_len"] - 0.02]), (70, 70, 78))  # jamb
+        _segment(img, h, end, accent)
         _disc(img, h, 1, (200, 200, 200))
         _disc(img, end, 2, (235, 205, 95))
     elif fam == "drawer":
@@ -713,12 +713,12 @@ def render(state):
         ctr = lay.positions["center"]
         _rect(img, ctr[0] - 0.02, ctr[1] - 0.03, ctr[0] + 0.02, ctr[1] + 0.02, (120, 120, 128))
         end = handle_point(tid, lay)
-        _segment(img, ctr, end, accent, 1)
+        _segment(img, ctr, end, accent)
         _disc(img, end, 2, (240, 240, 240))
     elif fam == "plate":
         s0 = lay.positions["slot"]
         c = CONFIG["plate"]
-        _segment(img, s0, s0 + np.array([c["slide_max"], 0.0]), (80, 84, 80), 1)
+        _segment(img, s0, s0 + np.array([c["slide_max"], 0.0]), (80, 84, 80))
         goal_s = c[_GOAL[tid][1]]
         _frame_rect(img, s0[0] + goal_s - 0.035, s0[1] - 0.035, s0[0] + goal_s + 0.035, s0[1] + 0.035, (140, 140, 140))
         _disc(img, handle_point(tid, lay), 2.6, accent)

@@ -129,6 +129,8 @@ class IdmConfig:
 
 def _windows(n, w):
     """Frame indices (n - w + 1, w) of every stride-1 window of length w in n frames."""
+    if w < 2:
+        raise ValueError(f"window {w}: must be >= 2 frames, one transition")
     if w > n:
         raise ValueError("video too short")
     return np.arange(n - w + 1)[:, None] + np.arange(w)

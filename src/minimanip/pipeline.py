@@ -134,18 +134,29 @@ def filter_demonstrations(demos):
 def sample_demo_videos(task, n_demos, dvg_model, schedule, seed=0, batch=8):
     """Plan a layout and poses per demo, then sample the videos `batch` at a time.
 
-    Demo m's layout comes from seed 700_000 + seed * 1_000 + m, and each chunk
-    draws its noise from [seed, task hash, index of its first demo]. Every
-    pose video is rendered before the first chunk is sampled. Yields
-    (layout, poses, video) per demo, in order; a chunk is sampled only when
-    its first video is asked for, so a consumer can label each chunk first.
+    Layout seeds are drawn in order from 700_000 + seed * 1_000, and demo m
+    takes the m-th layout whose plan fits the video: a layout that needs
+    more poses is skipped, as `data.collect` skips failed episodes, and
+    10 x n_demos seeds without n_demos fits raise. Each chunk draws its
+    noise from [seed, task hash, index of its first demo]. Every pose video
+    is rendered before the first chunk is sampled. Yields (layout, poses,
+    video) per demo, in order; a chunk is sampled only when its first video
+    is asked for, so a consumer can label each chunk first.
     """
     task = env.get_task(task)
     text = prompts.task_embedding(task)
     layouts, pose_seqs, pose_vids = [], [], []
-    for m in range(n_demos):
-        layout = env.sample_layout(task, 700_000 + seed * 1_000 + m)
-        poses = prompts.plan_pose(task, layout)
+    attempt = 0
+    while len(layouts) < n_demos:
+        if attempt >= 10 * n_demos:
+            raise RuntimeError(f"{task.task_id}: {len(layouts)}/{n_demos} layouts fit the video "
+                               f"in {attempt} attempts")
+        layout = env.sample_layout(task, 700_000 + seed * 1_000 + attempt)
+        attempt += 1
+        try:
+            poses = prompts.plan_pose(task, layout)
+        except ValueError:  # the plan needs more poses than the video has frames
+            continue
         layouts.append(layout)
         pose_seqs.append(poses)
         pose_vids.append(prompts.render_pose_video(poses))
@@ -313,14 +324,13 @@ def _score_arm(fold, arm, episodes, cfg, log, losses):
     return reports
 
 
-def run_crossval(cfg=None, out_dir=None, log=print):
+def run_crossval(cfg, out_dir=None, log=print):
     """Both folds, both arms, both architectures; returns all reports.
 
     Fold hygiene: the generated arm's video and labeling models see only the
     fold's few-shot expert data; zero-shot tasks enter as text + planned
     poses only. The generated arm trains on the demos the filter keeps.
     """
-    cfg = cfg or CrossvalConfig()
     reports, demo_sets = [], {"few_shot": [], "zero_shot": []}
     losses = {}  # fold -> the last training loss of each model the fold trained
     chash = cfg.hash()

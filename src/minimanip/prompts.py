@@ -36,12 +36,6 @@ _LEXICON = load_lexicon()
 
 
 @dataclass
-class ExpandedPrompt:
-    original: str
-    expanded: str
-
-
-@dataclass
 class PoseSequence:
     positions: np.ndarray   # (36, 2) float
     closed: np.ndarray      # (36,) bool
@@ -90,7 +84,7 @@ def expand_prompt(text):
         if f"({_cap(token)})" in text:
             continue
         suffix.append(f", ({_cap(token)})")
-    return ExpandedPrompt(original=text, expanded=text + "".join(suffix))
+    return text + "".join(suffix)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +100,7 @@ _RESERVED = _token_vector("__no_keywords__")
 _RESERVED /= np.linalg.norm(_RESERVED)
 
 
-def embed_text(text):
+def embed_prompt(text):
     """Unit-norm mean of hashed token vectors over keyword occurrences."""
     tokens = [tok for _, tok in extract_keywords(text)]
     if not tokens:
@@ -118,12 +112,6 @@ def embed_text(text):
     return v / n
 
 
-def embed_prompt(prompt):
-    """Embedding of an ExpandedPrompt (or raw string)."""
-    text = prompt.expanded if isinstance(prompt, ExpandedPrompt) else str(prompt)
-    return embed_text(text)
-
-
 def similarity_matrix(prompts):
     """Pairwise cosine similarities of prompt embeddings."""
     if len(prompts) < 2:
@@ -132,22 +120,17 @@ def similarity_matrix(prompts):
     return embs @ embs.T
 
 
-def task_prompt(task):
-    """Expanded prompt of a registered task's description."""
-    return expand_prompt(env.get_task(task).description)
-
-
 _TASK_EMB = {}
 
 
 def task_embedding(task):
-    """`embed_prompt(task_prompt(task))`, computed once per task; read-only."""
-    tid = env.get_task(task).task_id
-    if tid not in _TASK_EMB:
-        emb = embed_prompt(task_prompt(tid))
+    """`embed_prompt(expand_prompt(description))`, computed once per task; read-only."""
+    task = env.get_task(task)
+    if task.task_id not in _TASK_EMB:
+        emb = embed_prompt(expand_prompt(task.description))
         emb.flags.writeable = False
-        _TASK_EMB[tid] = emb
-    return _TASK_EMB[tid]
+        _TASK_EMB[task.task_id] = emb
+    return _TASK_EMB[task.task_id]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +152,6 @@ def plan_pose(task, layout):
     pos = layout.positions["grip_start"].astype(float).copy()
     positions, closed = [pos.copy()], [False]
     for target, grip in legs:
-        guard = 0
         while np.abs(target - pos).max() > 1e-9:
             delta = target - pos
             axis = 0 if abs(delta[0]) >= abs(delta[1]) else 1
@@ -177,9 +159,6 @@ def plan_pose(task, layout):
             pos[axis] += move
             positions.append(pos.copy())
             closed.append(grip)
-            guard += 1
-            if guard > 4 * VIDEO_FRAMES:
-                raise ValueError("plan too long for the pose budget")
     if len(positions) > VIDEO_FRAMES:
         raise ValueError(f"plan needs {len(positions)} poses, budget is {VIDEO_FRAMES}")
     while len(positions) < VIDEO_FRAMES:

@@ -132,6 +132,54 @@ def test_idm_study_rejects_a_bad_count_before_any_cell(tmp_path, monkeypatch, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, printed", [
+    (["--task", "door-close"], "Dark walnut door with a brass handle, hallway corridor, door swing shut, "
+                               "(Hallway), (Corridor), (Swing)\n"),
+    (["--text", "open the door, door lock"], "open the door, door lock, (Open), (Lock)\n"),
+], ids=["task", "text"])
+def test_expand_prints_the_expansion(capsys, argv, printed):
+    cli.main(["expand", *argv])
+    assert capsys.readouterr().out == printed
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "one of the arguments --task --text is required"),
+    (["--task", "reach", "--text", "x"], "argument --text: not allowed with argument --task"),
+], ids=["neither", "both"])
+def test_expand_takes_exactly_one_of_task_and_text(capsys, argv, message):
+    with pytest.raises(SystemExit):
+        cli.main(["expand", *argv])
+    assert message in capsys.readouterr().err
+
+
+_MISSING = ["--data", "missing", "--out", "out"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["collect", "--task", "nope", "--out", "out"], "argument --task: invalid choice: 'nope'"),
+    (["collect", "--task", "reach", "--episodes", "0", "--out", "out"], "--episodes 0: must be >= 1"),
+    (["expand", "--task", "nope"], "argument --task: invalid choice: 'nope'"),
+    (["sample", "--ckpt", "missing", "--task", "nope", "--out", "out"], "argument --task: invalid choice: 'nope'"),
+    (["eval", "--ckpt", "missing", "--task", "nope"], "argument --task: invalid choice: 'nope'"),
+    (["eval", "--ckpt", "missing", "--task", "reach", "--episodes", "0"], "--episodes 0: must be >= 1"),
+    (["train-dvg", "--fold", "3", *_MISSING], "argument --fold: invalid choice: 3"),
+    (["train-dvg", "--fold", "1", "--steps", "0", *_MISSING], "--steps 0: must be >= 1"),
+    (["train-idm", "--fold", "3", *_MISSING], "argument --fold: invalid choice: 3"),
+    (["train-idm", "--fold", "1", "--window", "1", *_MISSING], "--window 1: must be >= 2"),
+    (["train-policy", "--arch", "lcbc", "--fold", "3", *_MISSING], "argument --fold: invalid choice: 3"),
+    (["train-policy", "--arch", "rt1", "--steps", "0", *_MISSING], "--steps 0: must be >= 1"),
+], ids=["collect-task", "collect-episodes", "expand-task", "sample-task", "eval-task", "eval-episodes",
+        "train-dvg-fold", "train-dvg-steps", "train-idm-fold", "train-idm-window", "train-policy-fold",
+        "train-policy-steps"])
+def test_stage_commands_name_a_bad_flag_before_reading_files(tmp_path, monkeypatch, capsys, argv, message):
+    """A bad task, fold or count exits with a message naming the flag; no file is read or written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert message in f"{exc.value.code}{capsys.readouterr().err}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_idm_and_idm_study(tmp_path, monkeypatch):
     """Both commands run end to end; every IDM they train takes one step at a tiny width."""
     train_idm = idm.train_idm

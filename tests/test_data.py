@@ -180,6 +180,14 @@ def test_pack_video_windows_too_short():
         idm.binwise_accuracy(model, packed)
 
 
+@pytest.mark.parametrize("w", [1, 0])
+def test_windows_need_one_transition(w):
+    with pytest.raises(ValueError, match=f"window {w}: must be >= 2 frames"):
+        idm._windows(36, w)
+    with pytest.raises(ValueError, match=f"window {w}: must be >= 2 frames"):
+        idm.train_idm(idm.pack_video_windows([_toy_traj(13)]), idm.IdmConfig(steps=1, window=w))
+
+
 def test_window_coverage_reconstruction(short_traj):
     w = 12
     vids, targets = idm.pack_video_windows([short_traj])

@@ -229,12 +229,12 @@ def _reference_disc(img, center, radius_px, color):
     img[y0:y1 + 1, x0:x1 + 1][mask] = color
 
 
-def _reference_segment(img, p0, p1, color, radius_px=1):
+def _reference_segment(img, p0, p1, color):
     """Per-sample-point disc loop: the renderer's segment before vectorization."""
     n = max(2, int(np.linalg.norm(np.asarray(p1) - np.asarray(p0)) * env.RES * 1.5) + 1)
     for t in np.linspace(0.0, 1.0, n):
         q = (1 - t) * np.asarray(p0) + t * np.asarray(p1)
-        _reference_disc(img, q, radius_px, color)
+        _reference_disc(img, q, 1, color)
 
 
 # workspace coordinates around and past the frame, plus exact half-pixel ties
@@ -250,8 +250,8 @@ def test_segment_and_disc_match_per_point_discs(p0, p1, zero_length, radius_px, 
     p0, p1 = np.array(p0), np.array(p1)
     bg = np.random.default_rng(bg_seed).integers(0, 256, size=(env.RES, env.RES, 3), dtype=np.uint8)
     got, want = bg.copy(), bg.copy()
-    env._segment(got, p0, p1, (1, 2, 3), radius_px)
-    _reference_segment(want, p0, p1, (1, 2, 3), radius_px)
+    env._segment(got, p0, p1, (1, 2, 3))  # segments are drawn 1 px wide
+    _reference_segment(want, p0, p1, (1, 2, 3))
     assert np.array_equal(got, want)
     env._disc(got, p1, radius_px, (4, 5, 6))
     _reference_disc(want, p1, radius_px, (4, 5, 6))

@@ -150,6 +150,29 @@ def test_generate_demonstrations_smoke():
     assert np.array_equal(demos[0].actions, demos2[0].actions)
 
 
+def test_sample_demo_videos_skips_a_layout_whose_plan_does_not_fit():
+    """Faucet-open layout 702002 needs 37 poses; the third demo takes the next layout that plans."""
+    with pytest.raises(ValueError, match="plan needs 37 poses, budget is 36"):
+        prompts.plan_pose("faucet-open", env.sample_layout("faucet-open", 702_002))
+    model = diffusion.VideoDenoiser(np.random.default_rng(0), channels=(2, 3, 4))
+    videos = list(pipeline.sample_demo_videos("faucet-open", 3, model, diffusion.build_schedule(2), seed=2))
+    assert [layout.seed for layout, _, _ in videos] == [702_000, 702_001, 702_003]
+    assert all(video.shape == (36, 64, 64, 3) for _, _, video in videos)
+
+
+def test_sample_demo_videos_gives_up_naming_the_task(monkeypatch):
+    tried = []
+
+    def never_fits(task, layout):
+        tried.append(layout.seed)
+        raise ValueError("plan needs 99 poses, budget is 36")
+
+    monkeypatch.setattr(prompts, "plan_pose", never_fits)
+    with pytest.raises(RuntimeError, match="faucet-open: 0/2 layouts fit the video in 20 attempts"):
+        next(pipeline.sample_demo_videos("faucet-open", 2, None, None, seed=0))
+    assert tried == list(range(700_000, 700_020))
+
+
 def test_config_hash_stable():
     c1, c2 = pipeline.CrossvalConfig(), pipeline.CrossvalConfig()
     assert c1.hash() == c2.hash()

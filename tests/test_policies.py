@@ -156,7 +156,8 @@ def test_rt1_rollout_matches_frame_history(monkeypatch):
 
     seen = [[env.reset(tid, seed)[1]] for tid, seed in pairs]
     live = list(range(len(pairs)))
-    prompt = np.stack([prompts.embed_prompt(prompts.task_prompt(tid)) for tid, _ in pairs])
+    prompt = np.stack([prompts.embed_prompt(prompts.expand_prompt(env.get_task(tid).description))
+                       for tid, _ in pairs])
     pos = 0
     for t in range(max_steps):
         if not live:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ TABLE_ROWS = [
 
 @pytest.mark.parametrize("original,expected", TABLE_ROWS)
 def test_reference_expansions_exact(original, expected):
-    assert prompts.expand_prompt(original).expanded == expected
+    assert prompts.expand_prompt(original) == expected
 
 
 def test_extract_keywords_kinds():
@@ -41,23 +43,23 @@ def test_extract_no_hits():
 
 
 def test_expand_idempotent_on_registry():
-    for tid in env.TASK_IDS:
-        p = prompts.task_prompt(tid)
-        assert prompts.expand_prompt(p.expanded).expanded == p.expanded
-        assert p.expanded.startswith(p.original)
+    for t in env.REGISTRY.values():
+        p = prompts.expand_prompt(t.description)
+        assert prompts.expand_prompt(p) == p
+        assert p.startswith(t.description)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.text(alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Zs"), whitelist_characters=",."), max_size=80))
 def test_expand_idempotent_fuzz(text):
     p = prompts.expand_prompt(text)
-    assert p.expanded.startswith(text)
-    assert prompts.expand_prompt(p.expanded).expanded == p.expanded
+    assert p.startswith(text)
+    assert prompts.expand_prompt(p) == p
 
 
 def test_embedding_deterministic_unit_norm():
-    for tid in env.TASK_IDS:
-        p = prompts.task_prompt(tid)
+    for t in env.REGISTRY.values():
+        p = prompts.expand_prompt(t.description)
         e1 = prompts.embed_prompt(p)
         e2 = prompts.embed_prompt(p)
         assert np.array_equal(e1, e2)
@@ -65,28 +67,38 @@ def test_embedding_deterministic_unit_norm():
 
 
 def test_task_embedding_is_embedded_task_prompt():
-    for tid in env.TASK_IDS:
-        e = prompts.task_embedding(tid)
-        assert np.array_equal(e, prompts.embed_prompt(prompts.task_prompt(tid)))
-        assert prompts.task_embedding(env.get_task(tid)) is e
+    for t in env.REGISTRY.values():
+        e = prompts.task_embedding(t.task_id)
+        assert np.array_equal(e, prompts.embed_prompt(prompts.expand_prompt(t.description)))
+        assert prompts.task_embedding(t) is e
         assert not e.flags.writeable
 
 
+def test_task_embeddings_are_pinned():
+    """The 16 float64 task embeddings, in registry order, keep every bit."""
+    h = hashlib.sha256()
+    for tid in env.TASK_IDS:
+        e = prompts.task_embedding(tid)
+        assert e.dtype == np.float64 and e.shape == (prompts.EMBED_DIM,)
+        h.update(e.tobytes())
+    assert h.hexdigest() == "8eba2224d8508e563f003bd71a0d6a1c67ee0bea71a7bae4eadbf5cfa1424fe9"
+
+
 def test_embedding_empty_reserved():
-    e = prompts.embed_text("lorem ipsum")
-    e2 = prompts.embed_text("qwertyuiop")
+    e = prompts.embed_prompt("lorem ipsum")
+    e2 = prompts.embed_prompt("qwertyuiop")
     assert np.array_equal(e, e2)
     assert abs(np.linalg.norm(e) - 1.0) < 1e-6
 
 
 def test_disjoint_keywords_low_similarity():
-    e1 = prompts.embed_text("button plunger workshop")
-    e2 = prompts.embed_text("faucet spout sink")
+    e1 = prompts.embed_prompt("button plunger workshop")
+    e2 = prompts.embed_prompt("faucet spout sink")
     assert abs(float(e1 @ e2)) < 0.5
 
 
 def test_similarity_matrix_properties():
-    ps = [prompts.task_prompt(t) for t in env.TASK_IDS]
+    ps = [prompts.expand_prompt(t.description) for t in env.REGISTRY.values()]
     m = prompts.similarity_matrix(ps)
     assert np.allclose(np.diag(m), 1.0, atol=1e-6)
     assert np.allclose(m, m.T)
@@ -104,7 +116,7 @@ def test_expanded_intra_family_similarity_rises():
     for t in env.REGISTRY.values():
         by_family.setdefault(t.family, []).append(t.description)
     for d1, d2 in by_family.values():
-        orig.append(float(prompts.embed_text(d1) @ prompts.embed_text(d2)))
+        orig.append(float(prompts.embed_prompt(d1) @ prompts.embed_prompt(d2)))
         expanded.append(float(
             prompts.embed_prompt(prompts.expand_prompt(d1))
             @ prompts.embed_prompt(prompts.expand_prompt(d2))))
