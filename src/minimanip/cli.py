@@ -182,8 +182,9 @@ def _cmd_report(args):
         print(pipeline.summarize(reports))
 
 
-# the least value of each count flag, checked before a command reads any file
-_LEAST = {"episodes": 1, "steps": 1, "count": 1, "T": 2, "window": 2}
+# the least value of each count and seed flag, keyed by its argparse dest, checked before a
+# command reads any file
+_LEAST = {"episodes": 1, "steps": 1, "count": 1, "T": 2, "window": 2, "max_steps": 1, "seed": 0}
 
 
 def main(argv=None):
@@ -283,7 +284,10 @@ def main(argv=None):
     for name, least in _LEAST.items():
         value = getattr(args, name, None)
         if value is not None and value < least:
-            raise SystemExit(f"--{name} {value}: must be >= {least}")
+            raise SystemExit(f"--{name.replace('_', '-')} {value}: must be >= {least}")
+    epsilon = getattr(args, "epsilon", None)
+    if epsilon is not None and not 0.0 <= epsilon <= 1.0:
+        raise SystemExit(f"--epsilon {epsilon}: must be in [0, 1]")
     args.fn(args)
 
 

@@ -4,7 +4,11 @@ Forward noising uses the closed-form marginal of the per-step Gaussian
 chain; the denoiser is a small per-frame conv U-Net (64 -> 32 -> 16) with
 temporal self-attention over the 36-frame axis at every resolution, spatial
 self-attention at 16x16, timestep+text conditioning added per level, and an
-adapter pyramid that injects pose-video features into the encoder.
+adapter pyramid that injects pose-video features into the encoder. Each
+attention is one `nn.attention` op, x + attn(layernorm(x + pos)): a temporal
+one reads its level's (B·F, H, W, C) frames as a (B, F, H·W, C) view, so no
+transposed copy of a level is made, and the sampler's forward passes hold
+one chunk of the block's intermediates per worker, not full-size ones.
 """
 from __future__ import annotations
 
@@ -89,7 +93,10 @@ def reverse_step(vi, i, eps_hat, schedule, rng):
 # ---------------------------------------------------------------------------
 
 class VideoAttention(nn.Module):
-    """Pre-norm single-head residual attention over (N, T, C) tokens."""
+    """Pre-norm single-head residual attention x + attn(ln(x + pos)) over axis 1 of x.
+
+    x is (B, T, S, C), S sequences of T tokens per item, or (N, T, C).
+    """
 
     def __init__(self, d, n_tokens, rng):
         self.ln = nn.LayerNorm(d)
@@ -97,7 +104,7 @@ class VideoAttention(nn.Module):
         self.pos = nn.Param((0.3 * rng.normal(size=(n_tokens, d))).astype(np.float32))
 
     def __call__(self, x):
-        return x + self.attn(self.ln(x + self.pos))
+        return self.attn(x, self.ln, self.pos)
 
 
 class PoseAdapter(nn.Module):
@@ -167,15 +174,6 @@ class VideoDenoiser(nn.Module):
         bias = cond_c.reshape(b, 1, 1, 1, c)
         return (x.reshape(b, f, h, w, c) + bias).reshape(n, h, w, c)
 
-    def _temporal(self, x, attn, b, f):
-        """Self-attention over the frame axis at every spatial position."""
-        n, h, w, c = x.shape
-        t = x.reshape(b, f, h, w, c)
-        t = nn.transpose(t, (0, 2, 3, 1, 4)).reshape(b * h * w, f, c)
-        t = attn(t)
-        t = nn.transpose(t.reshape(b, h, w, f, c), (0, 3, 1, 2, 4))
-        return t.reshape(n, h, w, c)
-
     def pose_features(self, pose_video):
         """Encode a pose video (B, F, 64, 64, 1) in [0,1] into level features."""
         pv = self._input(pose_video)
@@ -184,7 +182,13 @@ class VideoDenoiser(nn.Module):
         return self.adapter(flat)
 
     def __call__(self, v, t_idx, text_emb, pose_feats, schedule_T):
-        """Predict the noise in v (B, F, 64, 64, 3) at timesteps t_idx."""
+        """Predict the noise in v (B, F, 64, 64, 3) at timesteps t_idx.
+
+        Each temporal attention reads its level as a (B, F, H·W, C) view of
+        the (B·F, H, W, C) frames, attending over the frames at every pixel
+        with no transposed copy. A skip activation is dropped after its last
+        read, so that under no_grad it is freed before the output stage.
+        """
         v = self._input(v)
         b, f = v.shape[0], v.shape[1]
         hh, ww = v.shape[2], v.shape[3]
@@ -194,26 +198,27 @@ class VideoDenoiser(nn.Module):
         x = v.reshape(b * f, hh, ww, 3)
         h1 = self.in_conv(x) + f1
         h1 = self._add_cond(h1, self.cond1(cond), b, f)
-        h1 = self._temporal(h1, self.tattn1, b, f)
+        h1 = self.tattn1(h1.reshape(b, f, -1, h1.shape[-1])).reshape(h1.shape)
 
         h2 = self.down1(nn.relu(h1)) + f2
         h2 = self._add_cond(h2, self.cond2(cond), b, f)
-        h2 = self._temporal(h2, self.tattn2, b, f)
+        h2 = self.tattn2(h2.reshape(b, f, -1, h2.shape[-1])).reshape(h2.shape)
         h2 = h2 + nn.relu(self.conv2(h2))
 
         h3 = self.down2(nn.relu(h2)) + f3
         h3 = self._add_cond(h3, self.cond3(cond), b, f)
         n3, h16, w16, c3 = h3.shape
-        s = h3.reshape(n3, h16 * w16, c3)
-        s = self.sattn3(s)
-        h3 = self._temporal(s.reshape(n3, h16, w16, c3), self.tattn3, b, f)
+        h3 = self.sattn3(h3.reshape(n3, h16 * w16, c3))
+        h3 = self.tattn3(h3.reshape(b, f, h16 * w16, c3)).reshape(n3, h16, w16, c3)
         h3 = h3 + nn.relu(self.conv3(h3))
 
         u2 = self.up2(h3) + h2
+        del h2, h3
         u2 = self._add_cond(u2, self.cond4(cond), b, f)
         u2 = u2 + nn.relu(self.conv4(u2))
 
         u1 = self.up1(u2) + h1
+        del h1, u2
         u1 = self._add_cond(u1, self.cond5(cond), b, f)
         eps = self.out_conv(nn.relu(self.out_proj(nn.relu(u1))))
         return eps.reshape(b, f, hh, ww, 3)
@@ -296,6 +301,7 @@ def sample_video(model, text_emb, pose_video, schedule, rng):
             if not np.isfinite(eps).all():
                 raise RuntimeError(f"numerical divergence at step {i}")
             v = reverse_step(v, i, eps, schedule, rng)
+            del eps  # freed before the next step's forward pass
     v = np.clip(v, -1.0, 1.0)
     return from_unit(v)
 

@@ -8,12 +8,14 @@ concat, take and sum_ keep no activation, cross_entropy is one op that keeps
 its log-probabilities, relu keeps its output (which the conv or matmul that
 reads it keeps too), and mul, matmul and the convolutions keep an operand
 only for the grad that reads it. So an activation that no backward reads is
-freed as soon as the forward pass drops it. attention is one op from its
-input through the q, k, v and output projections, and keeps only the input
-and the four weights: it runs over chunks of the leading axis, each chunk's
-q, k, v and (rows, T, T) scores live in chunk-sized buffers, and its
-backward recomputes them chunk by chunk. backward() walks the Nodes in
-reverse topological order.
+freed as soon as the forward pass drops it. attention is the one pre-norm
+residual self-attention op, x + attn(layernorm(x + pos)) over axis 1 of a
+(B, T, S, C) or (N, T, C) x, and its tape keeps only x, pos, γ, β and the
+four projection weights: it runs over chunks of the B·S sequences,
+gathering each chunk's tokens from x's own layout, so its normalized input,
+q, k, v, (rows, T, T) scores and attention output live in chunk-sized
+buffers, and its backward recomputes them chunk by chunk. backward() walks
+the Nodes in reverse topological order.
 Inference runs inside ``with no_grad():``, where ops record no tape.
 Convolutions are a sum of kh*kw shifted GEMMs. The forward runs over
 cache-sized blocks of whole images, padding each block into one reused
@@ -35,10 +37,10 @@ such setter (MKL, Accelerate) is left to thread by itself, and there the
 pool has one worker, the calling thread. Ops under _SPLIT_MIN_SIZE
 elements stay serial. A split never
 reorders the arithmetic of a row, so outputs and grads have the same bits
-for any worker count. Reductions over rows (weight, bias, gamma and beta
-grads, add's unbroadcast sums) are never split by rows: conv2d's weight
-grad splits by taps, and each tap's grad is the serial loop's one GEMM over
-every row. Pool threads allocate no output and no full-size scratch
+for any worker count. Reductions over rows (weight, bias, gamma, beta and
+position-table grads, add's unbroadcast sums) are never split by rows:
+conv2d's weight grad splits by taps, and each tap's grad is the serial
+loop's one GEMM over every row. Pool threads allocate no output and no full-size scratch
 buffer: the calling thread allocates them, and each part writes its rows
 of them, since what a pool thread frees stays in that thread's malloc
 arena.
@@ -588,119 +590,206 @@ def softmax(x):
 # chunking pay. Of 0.5, 1, 2 and 4 MiB, 1 MiB timed fastest at the denoiser's
 # 64x64 temporal level and within 3% elsewhere (2-core Xeon, one BLAS thread).
 # With the projections inside the chunks, 1 MiB still timed fastest of 0.25,
-# 0.5, 1 and 2 MiB at that level (forward 20 against 22-27 ms, batch 2).
+# 0.5, 1 and 2 MiB at that level (forward 20 against 22-27 ms, batch 2). With
+# the whole pre-norm block inside them, 1 and 2 MiB timed within 6% of each
+# other at the three temporal levels, and 0.25 and 0.5 MiB 8-53% slower.
 _ATTENTION_CHUNK_BYTES = 2 ** 20
 
 
-def attention(x, wq, wk, wv, wo, causal=False):
-    """Self-attention over (N, T, C) x: softmax(q kᵀ / sqrt(D) + mask) v wo, for q, k, v = x wq, x wk, x wv.
+def _causal_mask(t, dtype):
+    """The (t, t) score mask that hides each token's future."""
+    return np.triu(np.full((t, t), -1e9, dtype=dtype), k=1)
 
-    The mask hides the future if causal. Splits the leading axis over the
-    pool, and each worker runs over chunks of its rows: it projects the
-    chunk's rows of x to q, k and v, builds their scores and probabilities,
-    and writes (p v) wo into the output. So only one chunk's q, k, v and
-    (rows, T, T) scores per worker exist at a time. The tape keeps x and the
-    weights, and backward recomputes each chunk's q, k, v, probabilities and
-    p v from them. Each projection is a GEMM over a chunk's rows·T rows of
-    x, and a GEMM gives each row the same bits however its rows are split,
-    as long as no part is a single row (numpy runs that as a GEMV). So the
-    output and grads have the bits of the unfused matmuls.
+
+def _sequences(a, lo, hi):
+    """Rows lo..hi-1 of a (B, T, S, C) array, row b·S + s being a[b, :, s].
+
+    Returns (i, view) for each run of rows with one b: view is that run's
+    (rows, T, C) view of a, and i its first row's offset from lo.
     """
-    xd, wqd, wkd, wvd, wod = (a.data for a in (x, wq, wk, wv, wo))
-    n, t, c = xd.shape
+    s = a.shape[2]
+    if s == 1:
+        return [(0, a[lo:hi, :, 0])]
+    return [(max(b * s, lo) - lo, a[b, :, max(lo - b * s, 0):min(hi - b * s, s)].swapaxes(0, 1))
+            for b in range(lo // s, (hi - 1) // s + 1)]
+
+
+def _view(buf, m, *shape):
+    """The first m rows of a flat chunk buffer, as a C-contiguous (m, *shape) array."""
+    return buf[:m * math.prod(shape)].reshape(m, *shape)
+
+
+def attention(x, pos, gamma, beta, wq, wk, wv, wo, causal=False):
+    """Pre-norm residual self-attention over axis 1 of x: x + attn(layernorm(x + pos)).
+
+    x is (B, T, S, C), S sequences of T tokens per item (the denoiser's
+    (b, f, h·w, c) view of its frames), or (N, T, C), one sequence per
+    item. pos is a (T, C) table or None, layernorm scales by gamma and
+    shifts by beta, and attn(h) = softmax(q kᵀ / sqrt(D) + mask) v wo for
+    q, k, v = h wq, h wk, h wv, the mask hiding the future if causal. The
+    arithmetic runs in the operands' common dtype.
+
+    The rows, the B·S sequences in (b, s) order, are split over the pool,
+    and each worker runs over chunks of its rows: it gathers a chunk's
+    (rows, T, C) tokens from x, adds pos, normalizes, projects, attends,
+    adds the residual and scatters the result into the output. So no
+    transposed copy of x and no full-size x + pos, normalized input or
+    attention output exists: only one chunk's buffers per worker. The tape
+    keeps x, pos, γ, β and the four weights, and backward recomputes each
+    chunk. It reduces the weight, γ, β and pos grads in the calling thread,
+    each over full-size operands in row order, as the unfused composition
+    (transpose, add, layernorm, the four projections around softmax
+    attention, add, transpose back) does. Each projection is a GEMM over a
+    chunk's rows·T rows, and a GEMM gives each row the same bits however its
+    rows are split, as long as no part is a single row (numpy runs that as
+    a GEMV). So the output and grads have the bits of that composition.
+    """
+    xd, pd = x.data, None if pos is None else pos.data
+    params = (gamma, beta, wq, wk, wv, wo)
+    gd, bd, wqd, wkd, wvd, wod = (a.data for a in params)
+    dt = np.result_type(xd, gd, bd, wqd, wkd, wvd, wod, *([] if pd is None else [pd]))
+    x4 = xd if xd.ndim == 4 else xd[:, :, None]
+    _, t, s, c = x4.shape
+    n = len(x4) * s
     d, dv = wqd.shape[1], wvd.shape[1]
-    qdt, kdt, vdt = (np.result_type(xd, w) for w in (wqd, wkd, wvd))
-    dtype = np.result_type(qdt, kdt)
-    pdt = np.result_type(dtype, vdt)  # of p v
-    scale = dtype.type(1.0 / math.sqrt(d))
+    scale = dt.type(1.0 / math.sqrt(d))
     ranges = _split(n, n * t * t, 2 if t == 1 else 1)  # a GEMM of one row would run as a GEMV
-    rows = max(1, _ATTENTION_CHUNK_BYTES // (len(ranges) * t * t * dtype.itemsize))
+    rows = max(1, _ATTENTION_CHUNK_BYTES // (len(ranges) * t * t * dt.itemsize))
 
-    def scratch(*extra):
-        """Each worker's buffers for one chunk: q, k, kᵀ, v and scores, then those of `extra`.
+    def scratch(*widths):
+        """Each worker's flat chunk buffers, one of rows·width elements per width.
 
-        Each kind is one array, cut into the workers' shares, so the
+        Each width is one array, cut into the workers' shares, so the
         allocations are those of the serial loop.
         """
-        kinds = ((t, d), qdt), ((t, d), kdt), ((d, t), kdt), ((t, dv), vdt), ((t, t), dtype)
         ends = np.cumsum([0] + [min(rows, hi - lo) for lo, hi in ranges])
-        arrays = [np.empty((ends[-1],) + shape, dtype=dt) for shape, dt in kinds + extra]
-        return [[a[lo:hi] for a in arrays] for lo, hi in zip(ends[:-1], ends[1:])]
+        arrays = [np.empty(ends[-1] * w, dtype=dt) for w in widths]
+        return [[a[lo * w:hi * w] for a, w in zip(arrays, widths)] for lo, hi in zip(ends[:-1], ends[1:])]
 
-    def chunks(lo, hi, qs, ks, keys, vs, scores):
-        """Each chunk of rows lo..hi-1: its bounds, q, probabilities, kᵀ and v, in one worker's buffers."""
-        mask = np.triu(np.full((t, t), -1e9, dtype=dtype), k=1) if causal else None
-        for c_lo in range(lo, hi, rows):
-            c_hi = min(c_lo + rows, hi)
-            m = c_hi - c_lo
-            q, k, kt, v = qs[:m], ks[:m], keys[:m], vs[:m]
-            for a, w in ((q, wqd), (k, wkd), (v, wvd)):
-                np.matmul(xd[c_lo:c_hi].reshape(m * t, c), w, out=a.reshape(m * t, -1))
-            np.copyto(kt, np.swapaxes(k, -1, -2))
-            p = np.matmul(q, kt, out=scores[:m])
-            p *= scale
-            if mask is not None:
-                p += mask
-            yield c_lo, c_hi, q, _softmax_inplace(p), kt, v
+    def chunks(lo, hi):
+        return [(c_lo, min(c_lo + rows, hi)) for c_lo in range(lo, hi, rows)]
 
-    y = np.empty((n * t, wod.shape[1]), dtype=np.result_type(pdt, wod))  # the rows of (p v) wo
-    buffers = scratch(((t, dv), pdt))
+    def normalize(c_lo, c_hi, xn, h, iv):
+        """Rows c_lo..c_hi-1 of x + pos normalized into xn, and layernorm's output γ·xn + β into h."""
+        for i, seq in _sequences(x4, c_lo, c_hi):
+            if pd is None:
+                np.copyto(xn[i:i + len(seq)], seq)
+            else:
+                np.add(seq, pd, out=xn[i:i + len(seq)])
+        xn2 = xn.reshape(-1, c)
+        _normalize(xn2, gd, bd, xn2, h.reshape(-1, c), iv.reshape(-1, 1))
+
+    def attend(h, q, k, kt, v, scores, mask):
+        """The probabilities of rows h's tokens, with their q, k, kᵀ and v in the given buffers."""
+        h2 = h.reshape(-1, c)
+        for a, w in ((q, wqd), (k, wkd), (v, wvd)):
+            np.matmul(h2, w, out=a.reshape(len(h2), -1))
+        np.copyto(kt, np.swapaxes(k, -1, -2))
+        p = np.matmul(q, kt, out=scores)
+        p *= scale
+        if mask is not None:
+            p += mask
+        return _softmax_inplace(p)
+
+    out = np.empty(x4.shape, dtype=dt)
+    mask = _causal_mask(t, dt) if causal else None
+    buffers = scratch(t * c, t * max(c, dv), t, t * d, t * d, d * t, t * dv, t * t)
 
     def forward(lo, hi, slot):
-        *buf, pvs = buffers[slot]
-        for c_lo, c_hi, _, p, _, v in chunks(lo, hi, *buf):
-            pv = np.matmul(p, v, out=pvs[:c_hi - c_lo])
-            np.matmul(pv.reshape(-1, dv), wod, out=y[c_lo * t:c_hi * t])
+        xns, hs, ivs, qs, ks, kts, vs, scores = buffers[slot]
+        for c_lo, c_hi in chunks(lo, hi):
+            m = c_hi - c_lo
+            xn, h = _view(xns, m, t, c), _view(hs, m, t, c)
+            normalize(c_lo, c_hi, xn, h, _view(ivs, m, t))
+            v = _view(vs, m, t, dv)
+            p = attend(h, _view(qs, m, t, d), _view(ks, m, t, d), _view(kts, m, d, t), v,
+                       _view(scores, m, t, t), mask)
+            pv = np.matmul(p, v, out=_view(hs, m, t, dv))  # h is spent
+            y = np.matmul(pv.reshape(-1, dv), wod, out=xn.reshape(-1, c)).reshape(m, t, c)
+            for (i, seq), (_, dst) in zip(_sequences(x4, c_lo, c_hi), _sequences(out, c_lo, c_hi)):
+                np.add(seq, y[i:i + len(seq)], out=dst)
 
     _parallel(ranges, forward)
-    nx, nq, nk, nv, no = (a._node for a in (x, wq, wk, wv, wo))
+    del buffers, mask
+    shape, nx, npos = xd.shape, x._node, None if pos is None else pos._node
+    ngamma, nbeta, nq, nk, nv, no = (a._node for a in params)
 
     def bwd(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        gpv = _gemm(g2, wod.T).reshape(n, t, dv)  # the grad of p v
-        gdt = np.result_type(gpv, dtype, vdt)
-        gq, gk, gv = (np.empty((n, t, width), dtype=gdt) if nx is not None or node is not None
-                      else None for node, width in ((nq, d), (nk, d), (nv, dv)))
-        pv = np.empty((n, t, dv), dtype=pdt) if no is not None else None
-        buffers = scratch(((t, t), gdt), ((d, t), gdt))
+        g4 = g if g.ndim == 4 else g[:, :, None]
+        mask = _causal_mask(t, dt) if causal else None
+
+        def full(width):
+            return np.empty((n, t, width), dtype=dt)
+
+        # the reductions' full-size operands, in row order: x + pos normalized, 1/sqrt(var + eps),
+        # layernorm's output, g, p v, and the grads of q, k, v and layernorm's output
+        xn, inv, hs, gy, pv, gq, gk, gv, gh = (full(w) for w in (c, 1, c, c, dv, d, d, dv, c))
+        buffers = scratch(t * d, t * d, d * t, t * dv, t * t, t * dv, t * t, d * t, t * c)
 
         def backward(lo, hi, slot):
-            *buf, score_grads, key_grads = buffers[slot]
-            for c_lo, c_hi, q, p, kt, v in chunks(lo, hi, *buf):
-                gc = gpv[c_lo:c_hi]
-                if pv is not None:
-                    np.matmul(p, v, out=pv[c_lo:c_hi])
-                if gv is not None:
-                    np.matmul(np.swapaxes(p, -1, -2), gc, out=gv[c_lo:c_hi])
-                if gq is None and gk is None:
-                    continue
+            qs, ks, kts, vs, scores, gpvs, score_grads, key_grads, tmps = buffers[slot]
+            for c_lo, c_hi in chunks(lo, hi):
+                m, rs = c_hi - c_lo, slice(c_lo, c_hi)
+                normalize(c_lo, c_hi, xn[rs], hs[rs], inv[rs])
+                q, k, kt, v = (_view(qs, m, t, d), _view(ks, m, t, d), _view(kts, m, d, t),
+                               _view(vs, m, t, dv))
+                p = attend(hs[rs], q, k, kt, v, _view(scores, m, t, t), mask)
+                for i, seq in _sequences(g4, c_lo, c_hi):
+                    np.copyto(gy[c_lo + i:c_lo + i + len(seq)], seq)
+                gpv = _view(gpvs, m, t, dv)  # the grad of p v
+                np.matmul(gy[rs].reshape(-1, c), wod.T, out=gpv.reshape(-1, dv))
+                np.matmul(p, v, out=pv[rs])
+                np.matmul(np.swapaxes(p, -1, -2), gpv, out=gv[rs])
                 # the softmax grad, p·(gp - Σ p·gp), in place of gp and then p
-                gs = np.matmul(gc, np.swapaxes(v, -1, -2), out=score_grads[:c_hi - c_lo])
+                gs = np.matmul(gpv, np.swapaxes(v, -1, -2), out=_view(score_grads, m, t, t))
                 gs *= p
-                gs -= np.multiply(p, gs.sum(axis=-1, keepdims=True), out=p if p.dtype == gdt else None)
+                gs -= np.multiply(p, gs.sum(axis=-1, keepdims=True), out=p)
                 gs *= scale
-                if gq is not None:
-                    np.matmul(gs, np.swapaxes(kt, -1, -2), out=gq[c_lo:c_hi])
-                if gk is not None:
-                    kg = np.matmul(np.swapaxes(q, -1, -2), gs, out=key_grads[:c_hi - c_lo])
-                    gk[c_lo:c_hi] = np.swapaxes(kg, -1, -2)
+                np.matmul(gs, np.swapaxes(kt, -1, -2), out=gq[rs])
+                kg = np.matmul(np.swapaxes(q, -1, -2), gs, out=_view(key_grads, m, d, t))
+                gk[rs] = np.swapaxes(kg, -1, -2)
+                # layernorm output's grad from q, then k, then v, as the projections' sums
+                gl, tmp = gh[rs].reshape(-1, c), _view(tmps, m, t, c).reshape(-1, c)
+                np.matmul(gq[rs].reshape(-1, d), wqd.T, out=gl)
+                for grad, w in ((gk, wkd), (gv, wvd)):
+                    gl += np.matmul(grad[rs].reshape(-1, w.shape[1]), w.T, out=tmp)
 
         _parallel(ranges, backward)
-        del gpv, buffers  # each full-size when one chunk covers the batch: free them first
+        del buffers
         if no is not None:
-            no.accumulate(pv.reshape(-1, dv).T @ g2)
-        del pv
-        # each projection as its matmul's backward did, and x's grad from q, then k, then v
-        for node, w, grad in ((nq, wqd, gq), (nk, wkd, gk), (nv, wvd, gv)):
-            if grad is None:
-                continue
-            grad = grad.reshape(-1, grad.shape[-1])
-            if nx is not None:
-                nx.accumulate(_gemm(grad, w.T).reshape(n, t, c))
+            no.accumulate(pv.reshape(-1, dv).T @ gy.reshape(-1, c))
+        del pv, gy
+        for node, grad in ((nq, gq), (nk, gk), (nv, gv)):
             if node is not None:
-                node.accumulate(xd.reshape(-1, c).T @ grad)
+                node.accumulate(hs.reshape(-1, c).T @ grad.reshape(-1, grad.shape[-1]))
+        del hs, gq, gk, gv
+        g2, xn2 = gh.reshape(-1, c), xn.reshape(-1, c)
+        if ngamma is not None:
+            ngamma.accumulate((g2 * xn2).sum(axis=0))
+        if nbeta is not None:
+            nbeta.accumulate(g2.sum(axis=0))
+        gx = np.empty(x4.shape, dtype=dt)
+        buffers = scratch(t * c, t)
 
-    return _make(y.reshape(n, t, -1), (x, wq, wk, wv, wo), bwd)
+        def input_grad(lo, hi, slot):  # layernorm's input grad in place of gh, then x's: g plus that
+            tmps, means = buffers[slot]
+            for c_lo, c_hi in chunks(lo, hi):
+                m, rs = c_hi - c_lo, slice(c_lo, c_hi)
+                gs = gh[rs].reshape(-1, c)
+                np.multiply(gs, gd, out=gs)
+                _normalize_grad(gs, xn[rs].reshape(-1, c), inv[rs].reshape(-1, 1),
+                                _view(tmps, m, t, c).reshape(-1, c), _view(means, m, t).reshape(-1, 1))
+                for (i, seq), (_, dst) in zip(_sequences(g4, c_lo, c_hi), _sequences(gx, c_lo, c_hi)):
+                    np.add(seq, gh[c_lo + i:c_lo + i + len(seq)], out=dst)
+
+        _parallel(ranges, input_grad)
+        del buffers, xn, inv
+        if npos is not None:
+            npos.accumulate(_unbroadcast(gh, pd.shape))
+        if nx is not None:
+            nx.accumulate(gx.reshape(shape))
+
+    return _make(out.reshape(shape), (x, *params) if pos is None else (x, pos, *params), bwd)
 
 
 def cross_entropy(logits, targets):
@@ -736,6 +825,34 @@ def mse(a, b):
 
 # -- normalization ------------------------------------------------------
 
+def _normalize(xs, gd, bd, ns, ys, iv):
+    """Rows xs normalized into ns (which may be xs), γ·ns + β into ys, 1/sqrt(var + eps) into iv.
+
+    ys holds the squares before the output, when their dtypes agree.
+    """
+    np.subtract(xs, xs.mean(axis=-1, keepdims=True, out=iv), out=ns)  # iv holds the mean
+    sq = np.square(ns, out=ys) if ys.dtype == ns.dtype else np.square(ns)
+    sq.mean(axis=-1, keepdims=True, out=iv)  # then the variance, then 1/sqrt(var + eps)
+    iv += 1e-5
+    np.sqrt(iv, out=iv)
+    np.divide(1.0, iv, out=iv)
+    ns *= iv
+    np.multiply(ns, gd, out=ys)
+    ys += bd
+
+
+def _normalize_grad(gs, ns, iv, ts, m):
+    """Overwrite gs, the rows' g·γ, with their input grad (gs - mean(gs) - ns·mean(gs·ns))·iv.
+
+    ns holds the normalized rows; ts and m are scratch of the shapes of gs and iv.
+    """
+    np.multiply(gs, ns, out=ts).mean(axis=-1, keepdims=True, out=m)
+    np.multiply(ns, m, out=ts)
+    gs -= gs.mean(axis=-1, keepdims=True, out=m)
+    gs -= ts
+    gs *= iv
+
+
 def layernorm(x, gamma, beta):
     """Normalize over the last axis, then scale/shift.
 
@@ -750,16 +867,7 @@ def layernorm(x, gamma, beta):
     y = np.empty(x2.shape, dtype=np.result_type(xn, gd, bd))
 
     def rows(lo, hi, _):
-        xs, ns, ys, iv = x2[lo:hi], xn[lo:hi], y[lo:hi], inv[lo:hi]
-        np.subtract(xs, xs.mean(axis=-1, keepdims=True, out=iv), out=ns)  # iv holds the mean
-        sq = np.square(ns, out=ys) if ys.dtype == ns.dtype else np.square(ns)
-        sq.mean(axis=-1, keepdims=True, out=iv)  # then the variance, then 1/sqrt(var + eps)
-        iv += 1e-5
-        np.sqrt(iv, out=iv)
-        np.divide(1.0, iv, out=iv)
-        ns *= iv
-        np.multiply(ns, gd, out=ys)
-        ys += bd
+        _normalize(x2[lo:hi], gd, bd, xn[lo:hi], y[lo:hi], inv[lo:hi])
 
     _parallel(_split(len(x2), x2.size), rows)
     nx, ngamma, nbeta, shape = x._node, gamma._node, beta._node, xd.shape
@@ -775,14 +883,9 @@ def layernorm(x, gamma, beta):
         dt = np.result_type(g2, gd, xn)  # as numpy promotes the plain expression
         gx, tmp, means = np.empty(xn.shape, dt), np.empty(xn.shape, dt), np.empty(inv.shape, dt)
 
-        def grad_rows(lo, hi, _):  # gx - mean(gx) - xn·mean(gx·xn), times inv, for gx = g·γ
-            gs, ns, ts, m = gx[lo:hi], xn[lo:hi], tmp[lo:hi], means[lo:hi]
-            np.multiply(g2[lo:hi], gd, out=gs)
-            np.multiply(gs, ns, out=ts).mean(axis=-1, keepdims=True, out=m)
-            np.multiply(ns, m, out=ts)
-            gs -= gs.mean(axis=-1, keepdims=True, out=m)
-            gs -= ts
-            gs *= inv[lo:hi]
+        def grad_rows(lo, hi, _):
+            np.multiply(g2[lo:hi], gd, out=gx[lo:hi])
+            _normalize_grad(gx[lo:hi], xn[lo:hi], inv[lo:hi], tmp[lo:hi], means[lo:hi])
 
         _parallel(_split(len(gx), gx.size), grad_rows)
         nx.accumulate(gx.reshape(shape))
@@ -1029,7 +1132,7 @@ class LayerNorm(Module):
 
 
 class SelfAttention(Module):
-    """Single-head self-attention over (B, T, D), optionally causal."""
+    """The q, k, v and output projections of single-head self-attention over (B, T, D), optionally causal."""
 
     def __init__(self, d, rng, causal=False):
         s = math.sqrt(1.0 / d)
@@ -1039,8 +1142,9 @@ class SelfAttention(Module):
         self.wo = Param(rng.normal(0.0, s, size=(d, d)).astype(np.float32))
         self.causal = causal
 
-    def __call__(self, x):
-        return attention(x, self.wq, self.wk, self.wv, self.wo, self.causal)
+    def __call__(self, x, norm, pos=None):
+        """x + attn(norm(x + pos)), as one attention op."""
+        return attention(x, pos, norm.g, norm.b, self.wq, self.wk, self.wv, self.wo, self.causal)
 
 
 class TransformerBlock(Module):
@@ -1054,7 +1158,7 @@ class TransformerBlock(Module):
         self.fc2 = Linear(2 * d, d, rng, scale=math.sqrt(1.0 / (2 * d)))
 
     def __call__(self, x):
-        x = x + self.attn(self.ln1(x))
+        x = self.attn(x, self.ln1)
         return x + self.fc2(relu(self.fc1(self.ln2(x))))
 
 

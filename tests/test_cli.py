@@ -168,11 +168,26 @@ _MISSING = ["--data", "missing", "--out", "out"]
     (["train-idm", "--fold", "1", "--window", "1", *_MISSING], "--window 1: must be >= 2"),
     (["train-policy", "--arch", "lcbc", "--fold", "3", *_MISSING], "argument --fold: invalid choice: 3"),
     (["train-policy", "--arch", "rt1", "--steps", "0", *_MISSING], "--steps 0: must be >= 1"),
+    (["collect", "--task", "reach", "--epsilon", "2", "--out", "out"], "--epsilon 2.0: must be in [0, 1]"),
+    (["collect", "--task", "reach", "--epsilon", "-0.5", "--out", "out"], "--epsilon -0.5: must be in [0, 1]"),
+    (["collect", "--task", "reach", "--epsilon", "nan", "--out", "out"], "--epsilon nan: must be in [0, 1]"),
+    (["collect", "--task", "reach", "--max-steps", "0", "--out", "out"], "--max-steps 0: must be >= 1"),
+    (["collect", "--task", "reach", "--seed", "-1", "--out", "out"], "--seed -1: must be >= 0"),
+    (["sample", "--ckpt", "dvg.ckpt", "--task", "reach", "--seed", "-1", "--out", "out"],
+     "--seed -1: must be >= 0"),
+    (["train-dvg", "--fold", "1", "--seed", "-1", *_MISSING], "--seed -1: must be >= 0"),
+    (["train-idm", "--fold", "1", "--seed", "-1", *_MISSING], "--seed -1: must be >= 0"),
+    (["train-policy", "--arch", "lcbc", "--seed", "-1", *_MISSING], "--seed -1: must be >= 0"),
+    (["eval", "--ckpt", "lcbc.ckpt", "--task", "reach", "--seed", "-1"], "--seed -1: must be >= 0"),
+    (["idm-study", "--seed", "-1", "--out", "out"], "--seed -1: must be >= 0"),
 ], ids=["collect-task", "collect-episodes", "expand-task", "sample-task", "eval-task", "eval-episodes",
         "train-dvg-fold", "train-dvg-steps", "train-idm-fold", "train-idm-window", "train-policy-fold",
-        "train-policy-steps"])
+        "train-policy-steps", "collect-epsilon", "collect-epsilon-negative", "collect-epsilon-nan",
+        "collect-max-steps", "collect-seed", "sample-seed", "train-dvg-seed", "train-idm-seed",
+        "train-policy-seed", "eval-seed", "idm-study-seed"])
 def test_stage_commands_name_a_bad_flag_before_reading_files(tmp_path, monkeypatch, capsys, argv, message):
-    """A bad task, fold or count exits with a message naming the flag; no file is read or written."""
+    """A bad task, fold, count, seed or epsilon exits with a message naming the flag as typed; no file
+    is read or written (a command that read its missing input first would fail otherwise)."""
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

@@ -162,6 +162,27 @@ def test_pose_adapter_per_frame_structure():
         assert np.all(diff[np.arange(36) != 17] == 0)
 
 
+def test_temporal_attention_allocates_only_its_output_and_chunk_buffers():
+    """The 64x64 level's temporal attention under no_grad, at the sampler's batch of two videos.
+
+    Beside its output it allocates less than half its input: chunk buffers
+    only. No transposed copy of the frames, x + pos, normalized input or
+    attention output, each as large as the input, is made.
+    """
+    rng = np.random.default_rng(14)
+    block = dvg.VideoAttention(12, 36, rng)
+    h = nn.Tensor(rng.normal(size=(2 * 36, 64, 64, 12)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        with nn.no_grad():
+            y = block(h.reshape(2, 36, 64 * 64, 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (2, 36, 64 * 64, 12)
+    assert peak - y.data.nbytes < h.data.nbytes // 2
+
+
 def test_sampling_deterministic_under_seed():
     model = dvg.VideoDenoiser(np.random.default_rng(0), channels=(4, 6, 8))
     sched = dvg.build_schedule(5, "cosine")

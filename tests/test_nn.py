@@ -263,27 +263,38 @@ def test_attention_block_grad():
 def test_causal_attention_masks_future():
     rng = np.random.default_rng(8)
     attn = nn.SelfAttention(4, rng, causal=True).astype(np.float64)
+    ln = nn.LayerNorm(4).astype(np.float64)
     x1 = rng.normal(size=(1, 5, 4))
     x2 = x1.copy()
     x2[0, -1] += 10.0  # only the last token changes
-    y1 = attn(nn.Tensor(x1)).data
-    y2 = attn(nn.Tensor(x2)).data
+    y1 = attn(nn.Tensor(x1), ln).data
+    y2 = attn(nn.Tensor(x2), ln).data
     assert np.allclose(y1[0, :-1], y2[0, :-1])
     assert not np.allclose(y1[0, -1], y2[0, -1])
 
 
-def _attention_inputs(rng, n, t, dtype):
-    """x (n, t, 5) and the weights of the q, k, v and output projections, of differing widths."""
-    shapes = [(n, t, 5), (5, 3), (5, 3), (5, 4), (4, 5)]
-    return [rng.normal(size=s).astype(dtype) for s in shapes]
+ATTENTION_ARGS = ["x", "pos", "g", "b", "q", "k", "v", "o"]
+
+
+def _attention_inputs(rng, shape, dtype):
+    """x of `shape` (..., 5), its (T, 5) position table, γ and β, and the weights of the q, k, v
+    and output projections, of differing widths."""
+    t = shape[1]
+    shapes = [shape, (t, 5), (5,), (5,), (5, 3), (5, 3), (5, 4), (4, 5)]
+    arrays = [rng.normal(size=s).astype(dtype) for s in shapes]
+    arrays[2] += 1.0  # γ around one
+    return arrays
 
 
 @pytest.mark.parametrize("causal", [False, True])
-@pytest.mark.parametrize("which", [0, 1, 2, 3, 4], ids=["x", "q", "k", "v", "o"])
+@pytest.mark.parametrize("which", range(8), ids=ATTENTION_ARGS)
 def test_attention_grad(which, causal):
-    """The grad of x and of the weight of each projection (q, k, v, output)."""
+    """The grad of x, of pos, of γ and β, and of the weight of each projection (q, k, v, output).
+
+    x is (B, T, S, C) with S = 3: attention runs over axis 1 of each of the B·S sequences.
+    """
     rng = np.random.default_rng(11)
-    inputs = _attention_inputs(rng, 2, 4, np.float64)
+    inputs = _attention_inputs(rng, (2, 4, 3, 5), np.float64)
     args = [nn.Tensor(a) for a in inputs]
 
     def loss(a):
@@ -301,19 +312,30 @@ def _composed_attention(q, k, v, causal):
     return nn.matmul(nn.softmax(scores), v)
 
 
-def _composed_self_attention(x, wq, wk, wv, wo, causal):
-    """The unfused ops nn.attention replaces: four projections around _composed_attention."""
-    q, k, v = (nn.matmul(x, w) for w in (wq, wk, wv))
-    return nn.matmul(_composed_attention(q, k, v, causal), wo)
+def _composed_self_attention(x, pos, gamma, beta, wq, wk, wv, wo, causal):
+    """The unfused ops nn.attention replaces: transpose (B, T, S, C) x to (B·S, T, C), add pos,
+    layernorm, four projections around _composed_attention, add the residual, transpose back."""
+    sequences = x.ndim == 4
+    if sequences:
+        b, t, s, c = x.shape
+        x = nn.transpose(x, (0, 2, 1, 3)).reshape(b * s, t, c)
+    h = nn.layernorm(x + pos, gamma, beta)
+    q, k, v = (nn.matmul(h, w) for w in (wq, wk, wv))
+    y = x + nn.matmul(_composed_attention(q, k, v, causal), wo)
+    return nn.transpose(y.reshape(b, s, t, c), (0, 2, 1, 3)) if sequences else y
 
 
-def _fused_and_composed(t, causal, x_needs_grad=True):
-    """Output and grads of nn.attention and of its composition, over several chunks and a ragged one."""
+def _fused_and_composed(t, s, causal, x_needs_grad=True):
+    """Output and grads of nn.attention and of its composition, over several chunks and a ragged one.
+
+    With s > 1, x is (B, T, s, 5) and a chunk's rows straddle items; with s = 1 it is (N, T, 5).
+    """
     rows = max(1, nn._ATTENTION_CHUNK_BYTES // (t * t * 4))
     n = 2 * rows + rows // 2 + 1
     rng = np.random.default_rng(12)
-    arrays = _attention_inputs(rng, n, t, np.float32)
-    g = rng.normal(size=(n, t, 5)).astype(np.float32)
+    shape = (-(-n // s), t, s, 5) if s > 1 else (n, t, 5)
+    arrays = _attention_inputs(rng, shape, np.float32)
+    g = rng.normal(size=shape).astype(np.float32)
     results = []
     for op in (_composed_self_attention, nn.attention):
         inputs = [nn.Tensor(a.copy(), requires_grad=x_needs_grad or i > 0) for i, a in enumerate(arrays)]
@@ -326,19 +348,22 @@ def _fused_and_composed(t, causal, x_needs_grad=True):
 @pytest.mark.parametrize("causal", [False, True])
 @pytest.mark.parametrize("t", [36, 256])
 def test_attention_matches_composition_bit_for_bit(t, causal):
-    """The output and all five grads (x, wq, wk, wv, wo) have the bytes of the unfused ops."""
-    ref, got = _fused_and_composed(t, causal)
-    for r, a in zip(ref, got):
-        assert a.dtype == r.dtype and a.shape == r.shape and a.tobytes() == r.tobytes()
+    """The output and all eight grads (x, pos, γ, β, wq, wk, wv, wo) have the bytes of the unfused ops,
+    for (N, T, C) x and for (B, T, S, C) x."""
+    for s in (1, 5):
+        ref, got = _fused_and_composed(t, s, causal)
+        for r, a in zip(ref, got):
+            assert a.dtype == r.dtype and a.shape == r.shape and a.tobytes() == r.tobytes()
 
 
 @pytest.mark.parametrize("causal", [False, True])
 def test_attention_weight_grads_match_composition_when_x_needs_none(causal):
-    """With x off the tape, the output and the four weight grads still have the unfused ops' bytes."""
-    ref, got = _fused_and_composed(36, causal, x_needs_grad=False)
-    assert ref[1] is None and got[1] is None
-    for r, a in zip(ref[:1] + ref[2:], got[:1] + got[2:]):
-        assert a.dtype == r.dtype and a.shape == r.shape and a.tobytes() == r.tobytes()
+    """With x off the tape, the output and the other seven grads still have the unfused ops' bytes."""
+    for s in (1, 5):
+        ref, got = _fused_and_composed(36, s, causal, x_needs_grad=False)
+        assert ref[1] is None and got[1] is None
+        for r, a in zip(ref[:1] + ref[2:], got[:1] + got[2:]):
+            assert a.dtype == r.dtype and a.shape == r.shape and a.tobytes() == r.tobytes()
 
 
 @pytest.mark.parametrize("grad", [False, True], ids=["no_grad", "taped"])
@@ -347,11 +372,13 @@ def test_attention_forward_allocates_no_full_q_k_or_v(grad):
     rng = np.random.default_rng(13)
     n, t, d = 4096, 36, 12
     x = nn.Tensor(rng.normal(size=(n, t, d)).astype(np.float32))
-    ws = [nn.Param(rng.normal(size=(d, d)).astype(np.float32)) for _ in range(4)]
+    params = [nn.Param(rng.normal(size=(t, d)).astype(np.float32)), nn.Param(np.ones(d, np.float32)),
+              nn.Param(np.zeros(d, np.float32))]
+    params += [nn.Param(rng.normal(size=(d, d)).astype(np.float32)) for _ in range(4)]
     tracemalloc.start()
     try:
         with contextlib.nullcontext() if grad else nn.no_grad():
-            y = nn.attention(x, *ws)
+            y = nn.attention(x, *params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

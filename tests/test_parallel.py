@@ -109,10 +109,30 @@ def test_conv2d_splits_at_the_stem_size(monkeypatch, split_counts):
 @pytest.mark.parametrize("causal", [False, True])
 @pytest.mark.parametrize("n, t", [(7, 36), (2, 9), (5, 256)])
 def test_attention_splits_keep_every_bit(n, t, causal, monkeypatch, split_counts):
-    rng = np.random.default_rng(t)
-    arrays = [_normal(rng, n, t, 6)] + [_normal(rng, 6, 6) for _ in range(4)]
-    _assert_same_bits_at_any_worker_count(
-        lambda x, *w: nn.attention(x, *w, causal), arrays, monkeypatch, split_counts)
+    """x as (N, T, C) and as (B, T, S, C) with S = 3, whose rows (b, s) split and chunk across items."""
+    for shape in ((n, t, 6), (n, t, 3, 6)):
+        rng = np.random.default_rng(t)
+        arrays = [_normal(rng, *shape), _normal(rng, t, 6), _normal(rng, 6) + 1.0, _normal(rng, 6)]
+        arrays += [_normal(rng, 6, 6) for _ in range(4)]
+        split_counts.clear()
+        _assert_same_bits_at_any_worker_count(
+            lambda *args: nn.attention(*args, causal), arrays, monkeypatch, split_counts)
+
+
+@pytest.mark.parametrize("with_pos", [True, False], ids=["pos", "no-pos"])
+def test_attention_splits_at_the_denoiser_size(with_pos, monkeypatch, split_counts):
+    """The denoiser's 64x64 temporal level, a (1, 36, 64·64, 12) view, at the real threshold, and
+    TransformerBlock's attention half (no pos) on it: same bits split or not."""
+    monkeypatch.setattr(nn, "_SPLIT_MIN_SIZE", 2 ** 16)
+    rng = np.random.default_rng(36)
+    x, pos = _normal(rng, 1, 36, 64 * 64, 12), _normal(rng, 36, 12)
+    arrays = [x] + [pos] * with_pos + [_normal(rng, 12) + 1.0, _normal(rng, 12)]
+    arrays += [_normal(rng, 12, 12) for _ in range(4)]
+
+    def op(x, *rest):
+        return nn.attention(x, *(rest if with_pos else (None,) + rest))
+
+    _assert_same_bits_at_any_worker_count(op, arrays, monkeypatch, split_counts)
 
 
 @pytest.mark.parametrize("shape", [(5, 7, 12), (2, 48)])
@@ -157,7 +177,7 @@ def test_row_split_gemms_keep_every_bit(op, shapes, monkeypatch, split_counts):
 @pytest.mark.parametrize("shapes, dtypes", [
     ([(5, 7, 12), (5, 7, 12)], None),
     ([(2, 36, 8, 8, 12), (2, 1, 1, 1, 12)], None),      # VideoDenoiser._add_cond
-    ([(11, 36, 12), (36, 12)], None),                   # VideoAttention.pos
+    ([(11, 36, 12), (36, 12)], None),                   # a (T, C) table on (N, T, C) tokens
     ([(4, 6, 3), ()], None),                            # a 0-d operand
     ([(4, 6, 3), (4, 6, 3)], (np.float64, np.float32)),
     ([(2, 5, 6), (2, 1, 6)], None),                     # fewer rows than three workers
@@ -197,7 +217,7 @@ def test_relu_splits_keep_every_bit(shape, monkeypatch, split_counts):
 
 
 @pytest.mark.parametrize("shape, axes", [
-    ((2, 5, 4, 3, 6), (0, 2, 3, 1, 4)),   # into VideoDenoiser._temporal's (b, h, w, f, c)
+    ((2, 5, 4, 3, 6), (0, 2, 3, 1, 4)),   # frames (b, f, h, w, c) into (b, h, w, f, c)
     ((2, 4, 3, 5, 6), (0, 3, 1, 2, 4)),   # and back
     ((1, 5, 4, 3, 6), (0, 2, 3, 1, 4)),   # a batch of one
     ((2, 6, 5), (2, 0, 1)),               # fewer rows than three workers
@@ -210,7 +230,7 @@ def test_transpose_splits_keep_every_bit(shape, axes, monkeypatch, split_counts)
 
 @pytest.mark.parametrize("b", [1, 2])
 def test_elementwise_splits_at_the_denoiser_size(b, monkeypatch, split_counts):
-    """The denoiser's 64x64 level at the real threshold: its conditioning add, relu and temporal transposes."""
+    """At the denoiser's 64x64 level and the real threshold: its conditioning add and relu, and two transposes."""
     monkeypatch.setattr(nn, "_SPLIT_MIN_SIZE", 2 ** 16)
     f, c = 36, 12
 
@@ -226,15 +246,16 @@ def test_elementwise_splits_at_the_denoiser_size(b, monkeypatch, split_counts):
 
 def test_splits_keep_every_bit_under_frequent_thread_switches(monkeypatch, split_counts):
     """More workers than cores, with the interpreter switching threads every microsecond."""
-    def block(x, w, b, gamma, beta, wq, wk, wv, wo):
+    def block(x, w, b, gamma, beta, *attention):
         h = nn.conv2d(x, w, b)
         n, hh, ww, o = h.shape
-        t = nn.layernorm(h, gamma, beta).reshape(n, hh * ww, o)
-        return nn.attention(t, wq, wk, wv, wo, causal=True)
+        t = nn.layernorm(h, gamma, beta).reshape(2, n // 2, hh * ww, o)  # 2 items of 3 frames
+        return nn.attention(t, *attention, causal=True)
 
     rng = np.random.default_rng(8)
     arrays = [_normal(rng, 6, 5, 5, 3), _normal(rng, 3, 3, 3, 4), _normal(rng, 4),
-              _normal(rng, 4), _normal(rng, 4)] + [_normal(rng, 4, 4) for _ in range(4)]
+              _normal(rng, 4), _normal(rng, 4), _normal(rng, 3, 4), _normal(rng, 4), _normal(rng, 4)]
+    arrays += [_normal(rng, 4, 4) for _ in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

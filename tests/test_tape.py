@@ -187,7 +187,7 @@ def tape_held_bytes(loss):
     return sum(a.nbytes for a in bases.values())
 
 
-@pytest.mark.parametrize("build,ops", [(dvg_loss, 117), (idm_loss, 48)],
+@pytest.mark.parametrize("build,ops", [(dvg_loss, 92), (idm_loss, 44)],
                          ids=["VideoDenoiser", "ActionDecoder"])
 def test_tape_keeps_no_tensor(build, ops):
     _, loss = build(np.random.default_rng(3))
@@ -200,7 +200,7 @@ def test_tape_keeps_no_tensor(build, ops):
             assert not any(isinstance(v, nn.Tensor) for v in items), fn.__qualname__
 
 
-@pytest.mark.parametrize("build,held", [(dvg_loss, 2159860), (idm_loss, 1210656)],
+@pytest.mark.parametrize("build,held", [(dvg_loss, 1860976), (idm_loss, 1196680)],
                          ids=["VideoDenoiser", "ActionDecoder"])
 def test_tape_held_bytes_are_pinned(build, held):
     """What the miniature models' tapes hold, to the byte: a change that keeps more shows here."""
@@ -208,24 +208,52 @@ def test_tape_held_bytes_are_pinned(build, held):
     assert tape_held_bytes(loss) == held
 
 
-def test_attention_tape_keeps_no_score_tensor():
-    """Each attention closure holds exactly its (N, T, C) input and the four weights.
+def _base(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
 
-    No q, k, v, p v or (N, T, T) score array is kept: backward recomputes
-    them chunk by chunk. The spatial level attends over T = 256 tokens.
+
+def test_attention_tape_keeps_no_score_tensor():
+    """Each attention closure holds exactly its input, pos, γ, β and the four weights.
+
+    No transposed copy, x + pos, normalized input, q, k, v, p v or (N, T, T)
+    score array is kept: backward recomputes them chunk by chunk. The input
+    is held as a (B, T, S, C) view of the caller's own array: T is the 2
+    frames at the temporal levels and the 256 tokens at the spatial one.
     """
     model, loss = dvg_loss(np.random.default_rng(3))
-    weights = {id(p.data) for p in model.params().values() if p.ndim == 2}
+    params = {id(p.data): name.split(".", 1)[1] for name, p in model.params().items()}
     held = [closure_arrays(fn) for fn in tape_closures(loss) if fn.__qualname__.startswith("attention.")]
     assert len(held) == 4  # three temporal levels and one spatial
     lengths = []
     for arrays in held:
-        unique = {id(a): a for a in arrays}
-        x = [a for key, a in unique.items() if key not in weights]
-        assert len(unique) == 5 and len(x) == 1 and x[0].ndim == 3
-        assert sorted(a.shape for key, a in unique.items() if key in weights) == [(x[0].shape[-1],) * 2] * 4
-        lengths.append(x[0].shape[1])
-    assert 256 in lengths
+        names = sorted({params[id(a)] for a in arrays if id(a) in params})
+        assert names == ["attn.wk", "attn.wo", "attn.wq", "attn.wv", "ln.b", "ln.g", "pos"]
+        inputs = [a for a in arrays if id(a) not in params]
+        assert len({id(_base(a)) for a in inputs}) == 1  # views of one array
+        (shape,) = {a.shape for a in inputs}
+        lengths.append(shape[1])
+    assert sorted(lengths) == [2, 2, 2, 256]
+
+
+# Each full-size model's parameter count, the sha256 (16 hex digits) of its sorted parameter names,
+# and one name of an attention's parameter: checkpoints hold parameters by name, so a renamed
+# parameter breaks every checkpoint saved of that model.
+PARAM_NAMES = {
+    diffusion.VideoDenoiser: (70, "c1968f4854e1ef08", "tattn1.ln.g"),
+    idm.ActionDecoder: (48, "8c2cff27cc1a78d5", "temporal.0.attn.wq"),
+    policies.SingleFramePolicy: (37, "975460cb01bbad21", "blocks.0.ln1.b"),
+    policies.HistoryPolicy: (50, "c132ed6e6c9027be", "encoder.blocks.0.attn.wo"),
+}
+
+
+@pytest.mark.parametrize("cls", list(PARAM_NAMES), ids=lambda cls: cls.__name__)
+def test_checkpoint_parameter_names_are_pinned(cls):
+    names = sorted(cls(np.random.default_rng(0)).params())
+    count, digest, example = PARAM_NAMES[cls]
+    assert len(names) == count and example in names
+    assert hashlib.sha256("\n".join(names).encode()).hexdigest()[:16] == digest
 
 
 def test_upblock_tape_keeps_the_low_resolution_input():
